@@ -326,7 +326,7 @@ func BenchmarkEngineOracleRecord(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := engine.New(engine.Options{Workers: workers})
-				if _, err := oracle.RecordEngine(context.Background(), eng,
+				if _, err := oracle.RecordEngineMemo(context.Background(), eng, nil,
 					chip, sim.DefaultBandwidth, w, 0.05, cfgs); err != nil {
 					b.Fatal(err)
 				}
@@ -345,7 +345,7 @@ func BenchmarkEngineCacheCold(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng := engine.New(engine.Options{Workers: 4, Cache: cache})
-		if _, err := oracle.RecordEngine(context.Background(), eng,
+		if _, err := oracle.RecordEngineMemo(context.Background(), eng, nil,
 			chip, sim.DefaultBandwidth, w, 0.05, cfgs); err != nil {
 			b.Fatal(err)
 		}
@@ -361,14 +361,14 @@ func BenchmarkEngineCacheWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	warm := engine.New(engine.Options{Workers: 4, Cache: cache})
-	if _, err := oracle.RecordEngine(context.Background(), warm,
+	if _, err := oracle.RecordEngineMemo(context.Background(), warm, nil,
 		chip, sim.DefaultBandwidth, w, 0.05, cfgs); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := engine.New(engine.Options{Workers: 4, Cache: cache})
-		if _, err := oracle.RecordEngine(context.Background(), eng,
+		if _, err := oracle.RecordEngineMemo(context.Background(), eng, nil,
 			chip, sim.DefaultBandwidth, w, 0.05, cfgs); err != nil {
 			b.Fatal(err)
 		}

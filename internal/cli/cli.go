@@ -470,14 +470,14 @@ func cmdRun(ctx context.Context, w io.Writer, args []string) error {
 				return err
 			}
 			fmt.Fprintf(w, "resuming from %s at epoch %d\n", *ckPath, ck.Epoch)
-			dyn, err = rc.Resume(m, wl, ck)
+			dyn, err = rc.Resume(ctx, m, wl, ck)
 			if err != nil {
 				return err
 			}
-		} else if dyn, err = rc.Run(m, wl); err != nil {
+		} else if dyn, err = rc.Run(ctx, m, wl); err != nil {
 			return err
 		}
-	} else if dyn, err = core.NewController(ens, opts).Observe(observer).RunContext(ctx, m, wl); err != nil {
+	} else if dyn, err = core.Drive(ctx, m, core.OnWorkload(wl, opts.EpochScale), core.NewController(ens, opts).Observe(observer)); err != nil {
 		return err
 	}
 

@@ -134,10 +134,6 @@ func DataflowByName(v string) (int, error) { return valueByName("dataflow", data
 // value index.
 func FormatByName(v string) (int, error) { return valueByName("format", formatNames, v) }
 
-// SchedByName maps a scheduling-policy name ("rr", "ll") to its value
-// index.
-func SchedByName(v string) (int, error) { return valueByName("sched", schedNames, v) }
-
 // capKB and clockMHz are the ordinal value tables of Table 1.
 var (
 	capKB    = []int{4, 8, 16, 32, 64}

@@ -102,8 +102,10 @@ type RunResult struct {
 	Resilience ResilienceReport
 }
 
-// Controller is the SparseAdapt runtime: it owns the predictive model and
-// drives the feedback loop against a machine.
+// Controller is the SparseAdapt runtime's model step: at every epoch
+// boundary Drive runs, it predicts from the epoch's telemetry, filters the
+// prediction through the cost policy and reconfigures. A Reconfigure error
+// leaves the machine as it was.
 type Controller struct {
 	Model *Ensemble
 	Opts  Options
@@ -133,7 +135,7 @@ func (c *Controller) Observe(o *Observer) *Controller {
 // cost-gating as flushing changes — conservative never takes them,
 // aggressive always does, hybrid when the estimated transition time fits
 // within the tolerance of the last epoch's time.
-func (c *Controller) filter(m *sim.Machine, pred config.Config, lastEpochTime float64, dirtyL1, dirtyL2, nnz int) config.Config {
+func (o Options) filter(m *sim.Machine, pred config.Config, lastEpochTime float64, dirtyL1, dirtyL2, nnz int) config.Config {
 	cur := m.Config()
 	out := cur
 	for _, p := range config.RuntimeParams {
@@ -141,7 +143,7 @@ func (c *Controller) filter(m *sim.Machine, pred config.Config, lastEpochTime fl
 			continue
 		}
 		cls := config.TransitionClass(p, cur[p], pred[p])
-		switch c.Opts.Policy {
+		switch o.Policy {
 		case Aggressive:
 			out[p] = pred[p]
 		case Conservative:
@@ -157,7 +159,7 @@ func (c *Controller) filter(m *sim.Machine, pred config.Config, lastEpochTime fl
 			probe := cur
 			probe[p] = pred[p]
 			tCost, _ := sim.TransitionPenalty(m.Chip(), cur, probe, dirtyL1, dirtyL2, nnz, m.Bandwidth())
-			if tCost <= c.Opts.Tolerance*lastEpochTime {
+			if tCost <= o.Tolerance*lastEpochTime {
 				out[p] = pred[p]
 			}
 		}
@@ -165,152 +167,52 @@ func (c *Controller) filter(m *sim.Machine, pred config.Config, lastEpochTime fl
 	return out
 }
 
+// choose turns a model prediction into the boundary decision: on a single
+// bound trace the algorithm axes are pinned so the prediction only moves
+// hardware knobs, then the cost policy filters it. The decision is reported
+// to the observer.
+func (o Options) choose(b *boundary, pred config.Config) config.Config {
+	if b.pin {
+		for _, p := range []config.Param{config.Dataflow, config.Format, config.SchedPolicy} {
+			pred[p] = b.m.Config()[p]
+		}
+	}
+	next := o.filter(b.m, pred, b.r.Metrics.TimeSec, b.r.DirtyL1, b.r.DirtyL2, b.m.TraceNNZ())
+	b.obs.decision(pred, next)
+	return next
+}
+
+// follow applies the decision for pred; a change the machine refuses
+// (a coarse parameter) leaves it in its current configuration.
+func (o Options) follow(b *boundary, pred config.Config) {
+	from := b.m.Config()
+	if next := o.choose(b, pred); next != from {
+		if rc, err := b.m.Reconfigure(next); err == nil {
+			b.applied(from, next, rc)
+		}
+	}
+}
+
 // Run executes the workload under SparseAdapt control: telemetry,
-// inference and reconfiguration at every epoch boundary (Figure 3a).
+// inference and reconfiguration at every epoch boundary (Figure 3a). Use
+// Drive for cancellation or to run over a kernel source.
 func (c *Controller) Run(m *sim.Machine, w kernels.Workload) RunResult {
-	res, _ := c.RunContext(context.Background(), m, w)
+	res, _ := Drive(context.Background(), m, OnWorkload(w, c.Opts.EpochScale), c)
 	return res
 }
 
-// RunContext is Run with cooperative cancellation: the context is checked
-// at every epoch boundary, and a cancelled or expired context stops the run
-// there, returning the partial result accumulated so far together with the
-// context's error. A background context makes it exactly Run — the two
-// share one loop, so results are bit-identical.
-func (c *Controller) RunContext(ctx context.Context, m *sim.Machine, w kernels.Workload) (RunResult, error) {
-	m.BindTrace(w.Trace)
-	eps := w.Epochs(c.Opts.EpochScale)
-	var res RunResult
-	reconfigured := false
-	for i, ep := range eps {
-		if err := ctx.Err(); err != nil {
-			c.Obs.flush()
-			return res, err
-		}
-		r := m.RunEpoch(ep)
-		res.Total.Add(r.Metrics)
-		log := EpochLog{
-			Config: m.Config(), Metrics: r.Metrics, Counters: r.Counters,
-			Phase: r.Phase, Reconfigured: reconfigured,
-		}
-		res.Epochs = append(res.Epochs, log)
-		c.Obs.epoch(i, log)
-		pred := c.Model.Predict(m.Config(), r.Counters)
-		// A single bound trace cannot change execution strategy: pin the
-		// algorithm axes so the prediction only moves hardware knobs. Use
-		// RunSource for full widened-space control.
-		for _, p := range []config.Param{config.Dataflow, config.Format, config.SchedPolicy} {
-			pred[p] = m.Config()[p]
-		}
-		next := c.filter(m, pred, r.Metrics.TimeSec, r.DirtyL1, r.DirtyL2, w.Trace.NNZ)
-		c.Obs.decision(pred, next)
-		reconfigured = false
-		if next != m.Config() {
-			from := m.Config()
-			if rc, err := m.Reconfigure(next); err == nil {
-				res.Reconfig++
-				reconfigured = true
-				c.Obs.reconfig(from, next, rc)
-			}
-		}
-	}
-	c.Obs.flush()
-	return res, nil
-}
+func (c *Controller) observe(*boundary, *EpochLog) {}
+func (c *Controller) observer() *Observer          { return c.Obs }
 
-// RunSource executes a kernel under SparseAdapt control over the full
-// widened action space: when the model (filtered by the policy) switches
-// the dataflow, storage format or scheduling policy, the machine is
-// rebound to the corresponding kernel variant's trace and execution
-// resumes at the same work-fraction epoch on that variant's aligned grid
-// (sim.Trace.EpochsN). An algorithmic switch flushes both cache levels and
-// charges the conversion cost, so rebinding mid-run is sound: no stale
-// working set survives the transition.
-func (c *Controller) RunSource(m *sim.Machine, src *kernels.Source) (RunResult, error) {
-	return c.RunSourceContext(context.Background(), m, src)
-}
-
-// RunSourceContext is RunSource with cooperative cancellation checked at
-// every epoch boundary.
-func (c *Controller) RunSourceContext(ctx context.Context, m *sim.Machine, src *kernels.Source) (RunResult, error) {
-	// The epoch-grid size is anchored to the natural variant so every
-	// variant splits into the same number of work-aligned epochs.
-	nEpochs, _, err := src.GridEpochs(c.Opts.EpochScale)
-	if err != nil {
-		return RunResult{}, err
-	}
-	w, err := src.Variant(m.Config())
-	if err != nil {
-		return RunResult{}, err
-	}
-	m.BindTrace(w.Trace)
-	eps := w.Trace.EpochsN(nEpochs)
-	var res RunResult
-	reconfigured := false
-	// len(eps) == nEpochs unless a variant trace has fewer FP ops than grid
-	// epochs (degenerate tiny traces); the condition guards the rebind case.
-	for i := 0; i < nEpochs && i < len(eps); i++ {
-		if err := ctx.Err(); err != nil {
-			c.Obs.flush()
-			return res, err
-		}
-		r := m.RunEpoch(eps[i])
-		res.Total.Add(r.Metrics)
-		log := EpochLog{
-			Config: m.Config(), Metrics: r.Metrics, Counters: r.Counters,
-			Phase: r.Phase, Reconfigured: reconfigured,
-		}
-		res.Epochs = append(res.Epochs, log)
-		c.Obs.epoch(i, log)
-		pred := c.Model.Predict(m.Config(), r.Counters)
-		next := c.filter(m, pred, r.Metrics.TimeSec, r.DirtyL1, r.DirtyL2, w.Trace.NNZ)
-		c.Obs.decision(pred, next)
-		reconfigured = false
-		if next != m.Config() {
-			from := m.Config()
-			oldKey, newKey := src.Key(kernels.AlgoOf(from)), src.Key(kernels.AlgoOf(next))
-			if rc, err := m.Reconfigure(next); err == nil {
-				res.Reconfig++
-				reconfigured = true
-				c.Obs.reconfig(from, next, rc)
-				if oldKey != newKey {
-					w, err = src.Variant(next)
-					if err != nil {
-						c.Obs.flush()
-						return res, err
-					}
-					m.BindTrace(w.Trace)
-					eps = w.Trace.EpochsN(nEpochs)
-				}
-			}
-		}
-	}
-	c.Obs.flush()
-	return res, nil
+func (c *Controller) decide(b *boundary) error {
+	c.Opts.follow(b, c.Model.Predict(b.m.Config(), b.r.Counters))
+	return nil
 }
 
 // RunStatic executes the workload under a fixed configuration — the
 // non-reconfiguring comparison points of Section 5.3 (Baseline, Best Avg,
 // Max Cfg, Ideal Static).
 func RunStatic(chip power.Chip, bw float64, cfg config.Config, w kernels.Workload, epochScale float64) RunResult {
-	res, _ := RunStaticContext(context.Background(), chip, bw, cfg, w, epochScale)
+	res, _ := Drive(context.Background(), sim.New(chip, bw, cfg), OnWorkload(w, epochScale), Hold(nil))
 	return res
-}
-
-// RunStaticContext is RunStatic with cooperative cancellation checked at
-// every epoch boundary; a cancelled context returns the partial result and
-// the context's error.
-func RunStaticContext(ctx context.Context, chip power.Chip, bw float64, cfg config.Config, w kernels.Workload, epochScale float64) (RunResult, error) {
-	m := sim.New(chip, bw, cfg)
-	m.BindTrace(w.Trace)
-	var res RunResult
-	for _, ep := range w.Epochs(epochScale) {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		r := m.RunEpoch(ep)
-		res.Total.Add(r.Metrics)
-		res.Epochs = append(res.Epochs, EpochLog{Config: cfg, Metrics: r.Metrics, Counters: r.Counters, Phase: r.Phase})
-	}
-	return res, nil
 }

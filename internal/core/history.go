@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"sparseadapt/internal/config"
 	"sparseadapt/internal/kernels"
 	"sparseadapt/internal/sim"
@@ -72,11 +74,14 @@ func (e *Ensemble) PredictX(cur config.Config, x []float64) config.Config {
 
 // HistoryController drives the feedback loop with an H-epoch telemetry
 // window. Its model must have been trained on history-augmented features
-// of the same window length.
+// of the same window length. It is a Drive step; the window restarts at
+// epoch 0, so a controller drives one run at a time.
 type HistoryController struct {
 	Model *Ensemble
 	Opts  Options
 	H     int
+
+	window []sim.Counters
 }
 
 // NewHistoryController builds the extended controller. h < 1 behaves like
@@ -91,38 +96,27 @@ func NewHistoryController(model *Ensemble, opts Options, h int) *HistoryControll
 	return &HistoryController{Model: model, Opts: opts, H: h}
 }
 
-// Run executes the workload under history-based control.
+// Run executes the workload under history-based control. Use Drive for
+// cancellation.
 func (c *HistoryController) Run(m *sim.Machine, w kernels.Workload) RunResult {
-	m.BindTrace(w.Trace)
-	inner := Controller{Model: c.Model, Opts: c.Opts}
-	var res RunResult
-	var window []sim.Counters
-	reconfigured := false
-	for _, ep := range w.Epochs(c.Opts.EpochScale) {
-		r := m.RunEpoch(ep)
-		res.Total.Add(r.Metrics)
-		res.Epochs = append(res.Epochs, EpochLog{
-			Config: m.Config(), Metrics: r.Metrics, Counters: r.Counters,
-			Phase: r.Phase, Reconfigured: reconfigured,
-		})
-		window = append(window, r.Counters)
-		if len(window) > c.H {
-			window = window[1:]
-		}
-		x := BuildHistoryFeatures(m.Config(), window, c.H)
-		pred := c.Model.PredictX(m.Config(), x)
-		// Single bound trace: the algorithm axes cannot move (see RunContext).
-		for _, p := range []config.Param{config.Dataflow, config.Format, config.SchedPolicy} {
-			pred[p] = m.Config()[p]
-		}
-		next := inner.filter(m, pred, r.Metrics.TimeSec, r.DirtyL1, r.DirtyL2, m.TraceNNZ())
-		reconfigured = false
-		if next != m.Config() {
-			if _, err := m.Reconfigure(next); err == nil {
-				res.Reconfig++
-				reconfigured = true
-			}
-		}
-	}
+	res, _ := Drive(context.Background(), m, OnWorkload(w, c.Opts.EpochScale), c)
 	return res
+}
+
+func (c *HistoryController) observe(b *boundary, _ *EpochLog) {
+	if b.i == 0 {
+		c.window = c.window[:0]
+	}
+	c.window = append(c.window, b.r.Counters)
+	if len(c.window) > c.H {
+		c.window = c.window[1:]
+	}
+}
+
+func (c *HistoryController) observer() *Observer { return nil }
+
+func (c *HistoryController) decide(b *boundary) error {
+	x := BuildHistoryFeatures(b.m.Config(), c.window, c.H)
+	c.Opts.follow(b, c.Model.PredictX(b.m.Config(), x))
+	return nil
 }

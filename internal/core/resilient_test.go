@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -202,7 +203,7 @@ func TestWatchdogFallbackEndToEnd(t *testing.T) {
 	rc := NewResilientController(model, opts)
 	rc.Inject = &rogueInjector{From: 10, Bad: slow}
 	m := sim.New(chip, sim.DefaultBandwidth, start)
-	res, err := rc.Run(m, w)
+	res, err := rc.Run(context.Background(), m, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestFaultSuite(t *testing.T) {
 				rc.Inject = fault.New(spec)
 			}
 			m := sim.New(chip, sim.DefaultBandwidth, config.Baseline)
-			res, err := rc.Run(m, w)
+			res, err := rc.Run(context.Background(), m, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,7 +302,7 @@ func TestReconfigDropAccounting(t *testing.T) {
 	rc := NewResilientController(model, opts)
 	rc.Inject = fault.New(fault.Spec{RcDrop: 1})
 	m := sim.New(chip, sim.DefaultBandwidth, config.Baseline)
-	res, err := rc.Run(m, w)
+	res, err := rc.Run(context.Background(), m, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +358,7 @@ func TestCheckpointResume(t *testing.T) {
 			// Reference: one uninterrupted run.
 			ref := NewResilientController(model, opts)
 			ref.Inject = tc.inject()
-			full, err := ref.Run(sim.New(chip, sim.DefaultBandwidth, tc.start), w)
+			full, err := ref.Run(context.Background(), sim.New(chip, sim.DefaultBandwidth, tc.start), w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -369,7 +370,7 @@ func TestCheckpointResume(t *testing.T) {
 			copts.StopAfter = 16
 			crashed := NewResilientController(model, copts)
 			crashed.Inject = tc.inject()
-			part, err := crashed.Run(sim.New(chip, sim.DefaultBandwidth, tc.start), w)
+			part, err := crashed.Run(context.Background(), sim.New(chip, sim.DefaultBandwidth, tc.start), w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,7 +390,7 @@ func TestCheckpointResume(t *testing.T) {
 			ropts.CheckpointPath = ckPath
 			resumed := NewResilientController(model, ropts)
 			resumed.Inject = tc.inject()
-			res, err := resumed.Resume(sim.New(chip, sim.DefaultBandwidth, tc.start), w, ck)
+			res, err := resumed.Resume(context.Background(), sim.New(chip, sim.DefaultBandwidth, tc.start), w, ck)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -423,7 +424,7 @@ func TestResumeRejectsBadState(t *testing.T) {
 	opts.CheckpointEvery = 8
 	opts.StopAfter = 8
 	rc := NewResilientController(model, opts)
-	if _, err := rc.Run(sim.New(chip, sim.DefaultBandwidth, config.Baseline), w); err != nil {
+	if _, err := rc.Run(context.Background(), sim.New(chip, sim.DefaultBandwidth, config.Baseline), w); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := LoadCheckpoint(opts.CheckpointPath)
@@ -432,16 +433,16 @@ func TestResumeRejectsBadState(t *testing.T) {
 	}
 
 	// Wrong start configuration.
-	if _, err := rc.Resume(sim.New(chip, sim.DefaultBandwidth, config.MaxCfg), w, ck); err == nil {
+	if _, err := rc.Resume(context.Background(), sim.New(chip, sim.DefaultBandwidth, config.MaxCfg), w, ck); err == nil {
 		t.Fatal("resume with a mismatched machine must fail")
 	}
 	// Workload shorter than the checkpointed prefix.
 	short := testWorkload(t, 1)
-	if _, err := rc.Resume(sim.New(chip, sim.DefaultBandwidth, config.Baseline), short, ck); err == nil {
+	if _, err := rc.Resume(context.Background(), sim.New(chip, sim.DefaultBandwidth, config.Baseline), short, ck); err == nil {
 		t.Fatal("resume past the workload's end must fail")
 	}
 	// Nil checkpoint.
-	if _, err := rc.Resume(sim.New(chip, sim.DefaultBandwidth, config.Baseline), w, nil); err == nil {
+	if _, err := rc.Resume(context.Background(), sim.New(chip, sim.DefaultBandwidth, config.Baseline), w, nil); err == nil {
 		t.Fatal("nil checkpoint must fail")
 	}
 }

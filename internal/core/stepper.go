@@ -7,21 +7,23 @@ import (
 	"sparseadapt/internal/sim"
 )
 
-// ResilientStepper exposes the resilient decision core one epoch at a time,
-// for schedulers that own the epoch loop themselves. The multi-tenant fabric
-// multiplexer (internal/tenant) interleaves many jobs' epochs on one
-// machine, so no controller can drive a whole run; instead each tenant
-// carries a stepper, the multiplexer reports tenant-switch boundaries via
-// NoteSwitch, and feeds every completed epoch to Step.
+// ResilientStepper is the resilient decision core: telemetry sanitizing,
+// the watchdog with its fallback regime, validated and policy-filtered
+// predictions, and verified reconfiguration. Drive runs it as a step (it is
+// the decision core of ResilientController, and tenant.Isolated drives a
+// tenant's stepper solo); the multi-tenant fabric multiplexer
+// (internal/tenant), which interleaves many jobs' epochs on one machine and
+// so owns its epoch loop, reports tenant-switch boundaries via NoteSwitch
+// and feeds every completed epoch to Step.
 //
-// The stepper is the interference-aware extension of ResilientController's
-// watchdog: an over-threshold epoch that coincides with a tenant-switch
-// boundary is classified as co-tenant interference — the cold-cache spike
-// the switch itself caused — rather than degradation. An interference epoch
-// does not advance the degraded streak, does not enter the healthy baseline
-// window, and does not trip the fallback; the model still re-predicts from
-// the epoch's (sanitized) telemetry, so control adapts to the post-switch
-// state instead of retreating from it. Re-predict, don't fall back.
+// The stepper's watchdog is interference-aware: an over-threshold epoch
+// that coincides with a tenant-switch boundary is classified as co-tenant
+// interference — the cold-cache spike the switch itself caused — rather
+// than degradation. An interference epoch does not advance the degraded
+// streak, does not enter the healthy baseline window, and does not trip the
+// fallback; the model still re-predicts from the epoch's (sanitized)
+// telemetry, so control adapts to the post-switch state instead of
+// retreating from it. Re-predict, don't fall back.
 //
 // Model may be nil: the stepper then holds the current configuration and
 // runs watchdog classification only, which is how tenants without a trained
@@ -33,22 +35,23 @@ type ResilientStepper struct {
 	// interference classification and the observer's Tenant stamp.
 	Obs *Observer
 
+	inject        FaultInjector // set by ResilientController drills
 	wd            watchdogState
-	inner         Controller
 	inFallback    bool
-	reconfigured  bool
+	reconfigured  bool // Step only: the next epoch enters with a change
 	switchPending bool
-	epochIdx      int
-	normalized    bool
+	epochIdx      int // Step only: the index of the next epoch
 	report        ResilienceReport
+	// clean and dropped are the epoch's sanitized telemetry and whether it
+	// was lost, carried from observe to decide.
+	clean   sim.Counters
+	dropped bool
 }
 
 // NewResilientStepper builds a stepper with normalized options. model may be
 // nil (hold configuration, watchdog-only).
 func NewResilientStepper(model *Ensemble, opts ResilientOptions) *ResilientStepper {
-	s := &ResilientStepper{Model: model, Opts: opts.normalize(), normalized: true}
-	s.inner = Controller{Model: model, Opts: s.Opts.Options}
-	return s
+	return &ResilientStepper{Model: model, Opts: opts.normalize()}
 }
 
 // NoteSwitch tells the stepper the next epoch it observes is the first one
@@ -61,43 +64,62 @@ func (s *ResilientStepper) NoteSwitch() {
 // Report returns the resilience summary accumulated so far.
 func (s *ResilientStepper) Report() ResilienceReport { return s.report }
 
-// Epochs returns how many epochs the stepper has observed.
-func (s *ResilientStepper) Epochs() int { return s.epochIdx }
-
 // Flush closes the observer's pending epoch record; the multiplexer calls it
 // when the tenant's job completes.
 func (s *ResilientStepper) Flush() { s.Obs.flush() }
 
 // Step observes one completed epoch and performs the boundary decision for
-// the next: watchdog classification (degraded vs interference), fallback
-// bookkeeping, and — model permitting — a validated, policy-filtered
-// prediction applied to the machine. It returns the annotated epoch log;
+// the next, exactly as Drive would. It returns the annotated epoch log;
 // after Step returns, m.Config() is the configuration the tenant's next
 // epoch should run under.
 func (s *ResilientStepper) Step(m *sim.Machine, r sim.EpochResult) EpochLog {
-	if !s.normalized {
-		s.Opts = s.Opts.normalize()
-		s.inner = Controller{Model: s.Model, Opts: s.Opts.Options}
-		s.normalized = true
-	}
+	var ledger RunResult // the multiplexer keeps its own
+	b := boundary{m: m, i: s.epochIdx, r: r, pin: true, res: &ledger, obs: s.Obs}
+	s.epochIdx++
 	log := EpochLog{
 		Config: m.Config(), Metrics: r.Metrics, Counters: r.Counters,
-		Phase: r.Phase, Reconfigured: s.reconfigured, Fallback: s.inFallback,
+		Phase: r.Phase, Reconfigured: s.reconfigured,
 	}
-	s.reconfigured = false
+	s.observe(&b, &log)
+	s.Obs.epoch(b.i, log)
+	s.decide(&b) //nolint:errcheck // the stepper never fails
+	s.reconfigured = b.reconfigured
+	return log
+}
 
-	clean, repairs := SanitizeCounters(r.Counters)
+func (s *ResilientStepper) observer() *Observer { return s.Obs }
+
+// observe runs the telemetry path (injection, drop, sanitizer) and the
+// watchdog classification for the epoch just run.
+func (s *ResilientStepper) observe(b *boundary, log *EpochLog) {
+	log.Fallback = s.inFallback
+	obs := b.r.Counters
+	s.dropped = false
+	if s.inject != nil {
+		// PerturbTelemetry always runs so stateful faults stay in step.
+		obs, _ = s.inject.PerturbTelemetry(b.i, b.r.Counters)
+		s.dropped = s.inject.DropTelemetry(b.i)
+	}
+	var repairs int
+	s.clean, repairs = SanitizeCounters(obs)
 	log.Repairs = repairs
+	log.TelemetryDropped = s.dropped
 	s.report.Repairs += repairs
+	if s.dropped {
+		s.report.DroppedTelemetry++
+	}
 
-	// Watchdog: an over-threshold epoch right after a tenant switch is the
-	// co-tenant's cold-cache bill, not a fault — classify, keep the streak
-	// and baseline untouched, and let the model re-predict below.
-	cost := epochCost(r.Metrics)
-	if b := s.wd.baseline(); s.switchPending && b > 0 && cost > s.Opts.DegradeFactor*b {
+	// Watchdog: classify this epoch's cost against the trailing baseline.
+	// Fallback epochs feed the baseline too — they run the safe config,
+	// which is exactly what "healthy" means here. An over-threshold epoch
+	// right after a tenant switch is the co-tenant's cold-cache bill, not a
+	// fault — classify, keep the streak and baseline untouched, and let the
+	// model re-predict.
+	cost := epochCost(b.r.Metrics)
+	if base := s.wd.baseline(); s.switchPending && base > 0 && cost > s.Opts.DegradeFactor*base {
 		log.Interference = true
 		s.report.InterferenceEpochs++
-		s.Obs.event("interference", map[string]string{"epoch": fmt.Sprintf("%d", s.epochIdx)})
+		b.obs.event("interference", map[string]string{"epoch": fmt.Sprintf("%d", b.i)})
 	} else {
 		log.Degraded = s.wd.observe(cost, s.Opts.DegradeFactor, s.Opts.WatchdogWindow)
 		if log.Degraded {
@@ -108,32 +130,34 @@ func (s *ResilientStepper) Step(m *sim.Machine, r sim.EpochResult) EpochLog {
 	if s.inFallback {
 		s.report.FallbackEpochs++
 	}
-	s.Obs.epoch(s.epochIdx, log)
-	s.epochIdx++
-
-	s.decideNext(m, r, clean)
-	return log
 }
 
-// decideNext mirrors ResilientController.decide for the steppable loop:
-// fallback cooldown, watchdog trip, or model prediction.
-func (s *ResilientStepper) decideNext(m *sim.Machine, r sim.EpochResult, clean sim.Counters) {
+// decide performs the epoch-boundary control decision: watchdog trips and
+// cooldown bookkeeping, or a validated model prediction filtered through
+// the reconfiguration-cost policy, then a verified (and retried)
+// reconfiguration.
+func (s *ResilientStepper) decide(b *boundary) error {
+	m := b.m
+	// Fallback regime: hold the safe config through the cooldown, then
+	// re-arm the model.
 	if s.inFallback {
 		if !s.wd.Permanent {
 			s.wd.Cooldown--
 			if s.wd.Cooldown <= 0 {
 				s.inFallback = false
 				s.wd.Streak = 0
-				s.Obs.event("fallback-exit", nil)
-				return
+				b.obs.event("fallback-exit", nil)
+				return nil // re-armed; model resumes next boundary
 			}
 		}
 		if m.Config() != s.Opts.Fallback {
-			s.apply(m, s.Opts.Fallback)
+			s.applyTarget(b, s.Opts.Fallback)
 		}
-		return
+		return nil
 	}
 
+	// Watchdog trip: K consecutive degraded epochs retire the model to the
+	// fallback config, permanently once the trip budget is spent.
 	if s.wd.Streak >= s.Opts.DegradeEpochs {
 		s.wd.Trips++
 		s.report.Fallbacks++
@@ -144,43 +168,76 @@ func (s *ResilientStepper) decideNext(m *sim.Machine, r sim.EpochResult, clean s
 			s.report.PermanentFallback = true
 		}
 		s.inFallback = true
-		s.Obs.event("watchdog-trip", map[string]string{
+		b.obs.event("watchdog-trip", map[string]string{
 			"trips":     fmt.Sprintf("%d", s.wd.Trips),
 			"permanent": fmt.Sprintf("%v", s.wd.Permanent),
 		})
-		s.apply(m, s.Opts.Fallback)
-		return
+		s.applyTarget(b, s.Opts.Fallback)
+		return nil
 	}
 
-	if s.Model == nil {
-		return // hold: watchdog-only mode
+	// Model-driven path. Lost telemetry or no model → no decision, hold.
+	if s.dropped || s.Model == nil {
+		return nil
 	}
-	pred := s.Model.Predict(m.Config(), clean)
+	pred := s.Model.Predict(m.Config(), s.clean)
+	if s.inject != nil {
+		pred, _ = s.inject.PerturbPrediction(b.i, pred)
+	}
 	if !ValidatePrediction(m.Config(), pred) {
 		s.report.RejectedPredictions++
-		s.Obs.event("rejected-prediction", map[string]string{"pred": fmt.Sprintf("%v", [config.NumParams]int(pred))})
-		return
+		// Raw level indices, not pred.String(): the rejection means the
+		// levels are out of range, which String would panic on.
+		b.obs.event("rejected-prediction", map[string]string{"pred": fmt.Sprintf("%v", [config.NumParams]int(pred))})
+		return nil
 	}
-	// Single bound trace per tenant: the algorithm axes cannot move.
-	for _, p := range []config.Param{config.Dataflow, config.Format, config.SchedPolicy} {
-		pred[p] = m.Config()[p]
+	if next := s.Opts.choose(b, pred); next != m.Config() {
+		s.applyTarget(b, next)
 	}
-	next := s.inner.filter(m, pred, r.Metrics.TimeSec, r.DirtyL1, r.DirtyL2, m.TraceNNZ())
-	s.Obs.decision(pred, next)
-	if next != m.Config() {
-		s.apply(m, next)
+	return nil
+}
+
+// applyTarget reconfigures toward target with verification and retry.
+func (s *ResilientStepper) applyTarget(b *boundary, target config.Config) {
+	from := b.m.Config()
+	ok, retries, cost := s.attemptReconfig(b.m, b.i, target)
+	s.report.ReconfigRetries += retries
+	if ok {
+		b.applied(from, target, cost)
+	} else {
+		s.report.ReconfigFailures++
+		b.obs.event("reconfig-failure", map[string]string{"target": target.String()})
 	}
 }
 
-// apply reconfigures toward target, updating the stepper's bookkeeping.
-func (s *ResilientStepper) apply(m *sim.Machine, target config.Config) {
-	from := m.Config()
-	rc, err := m.Reconfigure(target)
-	if err != nil {
-		s.report.ReconfigFailures++
-		s.Obs.event("reconfig-failure", map[string]string{"target": target.String()})
-		return
+// attemptReconfig drives one epoch-boundary reconfiguration with fault
+// injection, verification and bounded retry. epoch is the epoch just
+// completed (the hash key for injected faults). It returns whether the
+// machine ended at target, how many extra attempts were spent, and the
+// cost of the reconfiguration that took (zero when none did).
+func (s *ResilientStepper) attemptReconfig(m *sim.Machine, epoch int, target config.Config) (ok bool, retries int, cost sim.ReconfigCost) {
+	for attempt := 0; attempt <= s.Opts.ReconfigRetries; attempt++ {
+		drop, mult := false, 1.0
+		if s.inject != nil {
+			drop, mult = s.inject.ReconfigFault(epoch, attempt)
+		}
+		if !drop {
+			rc, err := m.Reconfigure(target)
+			if err != nil {
+				// Unreachable through the policy filter (coarse changes are
+				// never predicted), but a corrupt target must not wedge us.
+				return false, attempt, cost
+			}
+			cost = rc
+			if mult > 1 {
+				m.InjectPenalty(rc.Cycles * (mult - 1))
+			}
+		}
+		// Verify the knobs actually took: a dropped write leaves the old
+		// configuration in place and earns another attempt.
+		if m.Config() == target {
+			return true, attempt, cost
+		}
 	}
-	s.reconfigured = true
-	s.Obs.reconfig(from, target, rc)
+	return m.Config() == target, s.Opts.ReconfigRetries, cost
 }

@@ -43,20 +43,15 @@ func (r *Report) WriteCSV(path string) error {
 	return w.Error()
 }
 
-// RunAll executes every registered experiment at the given scale and
-// writes one CSV per experiment into dir (created if needed), mirroring
+// RunAllContext executes every registered experiment at the given scale
+// and writes one CSV per experiment into dir (created if needed), mirroring
 // the paper artifact's rep_data/ output. When sc.Eng is set, experiments
 // run concurrently (each experiment is one engine task, and its internal
 // recordings and training sweeps fan out further on the same engine);
 // reports are still returned and written in ID order. The first failure
-// cancels the run.
-func RunAll(sc Scale, dir string) ([]*Report, error) {
-	return RunAllContext(context.Background(), sc, dir)
-}
-
-// RunAllContext is RunAll with cooperative cancellation: cancelling the
-// context (e.g. on SIGINT) stops the engine batch and returns the reports
-// completed so far together with the context's error.
+// cancels the run, and so does cancelling the context (e.g. on SIGINT),
+// which returns the reports completed so far together with the context's
+// error.
 func RunAllContext(ctx context.Context, sc Scale, dir string) ([]*Report, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -1,15 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"sparseadapt/internal/config"
+	"sparseadapt/internal/core"
+	"sparseadapt/internal/kernels"
 	"sparseadapt/internal/matrix"
 	"sparseadapt/internal/power"
 	"sparseadapt/internal/sim"
-
-	"sparseadapt/internal/kernels"
 )
 
 func init() {
@@ -42,17 +43,17 @@ func FormatSwitch(sc Scale) (*Report, error) {
 		cfgCSR := config.Baseline
 		cfgCSR[config.Format] = config.FmtCSR
 
-		stay, _, err := runFormatSchedule(sc, src, nEpochs, cfgCSR, -1, config.Baseline)
+		stay, _, err := runFormatSchedule(sc, src, cfgCSR, -1, config.Baseline)
 		if err != nil {
 			return nil, err
 		}
 		// Convert a third of the way in: enough wrong-format epochs to make
 		// the overlay cost visible, enough remaining run to amortize.
-		conv, convCycles, err := runFormatSchedule(sc, src, nEpochs, cfgCSR, nEpochs/3, config.Baseline)
+		conv, convCycles, err := runFormatSchedule(sc, src, cfgCSR, nEpochs/3, config.Baseline)
 		if err != nil {
 			return nil, err
 		}
-		natural, _, err := runFormatSchedule(sc, src, nEpochs, config.Baseline, -1, config.Baseline)
+		natural, _, err := runFormatSchedule(sc, src, config.Baseline, -1, config.Baseline)
 		if err != nil {
 			return nil, err
 		}
@@ -61,40 +62,30 @@ func FormatSwitch(sc Scale) (*Report, error) {
 			convCycles/1e3, ratio(conv.TimeSec, stay.TimeSec))
 	}
 	rep.Note("switch/stay < 1: paying the conversion + flush beats running on in the wrong format")
-	rep.Note("the controller's Format axis makes this trade at runtime (see internal/core.RunSource)")
+	rep.Note("the controller's Format axis makes this trade at runtime (see core.Drive over core.OnSource)")
 	return rep, nil
 }
 
-// runFormatSchedule executes the source for nEpochs on its work-aligned
-// grid, starting in cfg and — when switchAt >= 0 — reconfiguring to
-// target at that epoch boundary (rebinding onto the target variant's
-// trace). It returns the total metrics and the conversion cycles charged.
-func runFormatSchedule(sc Scale, src *kernels.Source, nEpochs int, cfg config.Config, switchAt int, target config.Config) (power.Metrics, float64, error) {
-	w, err := src.Variant(cfg)
+// runFormatSchedule executes the source on its work-aligned grid, starting
+// in cfg and — when switchAt >= 0 — reconfiguring to target at that epoch
+// boundary (Drive rebinds onto the target variant's trace). It returns the
+// total metrics and the conversion cycles charged.
+func runFormatSchedule(sc Scale, src *kernels.Source, cfg config.Config, switchAt int, target config.Config) (power.Metrics, float64, error) {
+	conv := 0.0
+	schedule := core.Schedule(func(i int, cur config.Config, _ sim.EpochResult) config.Config {
+		if i != switchAt || cur == target {
+			return cur
+		}
+		// The charge Reconfigure folds in: the algorithmic transition priced
+		// over the bound (current) variant's operand nonzeros.
+		if w, err := src.Variant(cur); err == nil {
+			conv = config.Classify(cur, target).ConversionCycles(w.Trace.NNZ)
+		}
+		return target
+	})
+	res, err := core.Drive(context.Background(), sim.New(sc.Chip, sc.BW, cfg), core.OnSource(src, sc.Epoch), schedule)
 	if err != nil {
 		return power.Metrics{}, 0, err
 	}
-	m := sim.New(sc.Chip, sc.BW, cfg)
-	m.BindTrace(w.Trace)
-	eps := w.Trace.EpochsN(nEpochs)
-	var tot power.Metrics
-	conv := 0.0
-	for i := 0; i < nEpochs && i < len(eps); i++ {
-		r := m.RunEpoch(eps[i])
-		tot.Add(r.Metrics)
-		if switchAt >= 0 && i == switchAt && m.Config() != target {
-			rc, err := m.Reconfigure(target)
-			if err != nil {
-				return power.Metrics{}, 0, err
-			}
-			conv += rc.ConvCycles
-			w, err = src.Variant(target)
-			if err != nil {
-				return power.Metrics{}, 0, err
-			}
-			m.BindTrace(w.Trace)
-			eps = w.Trace.EpochsN(nEpochs)
-		}
-	}
-	return tot, conv, nil
+	return res.Total, conv, nil
 }

@@ -86,10 +86,10 @@ type Runner struct {
 	Link Link
 	// EpochScale shrinks device epochs for fast tests (1 = paper scale).
 	EpochScale float64
-	// Obs, when non-nil, is attached to the controller of single-offload
-	// adaptive and resilient runs. It is deliberately NOT used by the batch
-	// paths: an Observer carries per-run cursors and must not be shared
-	// between the concurrent controllers a batch spawns.
+	// Obs, when non-nil, observes single-offload runs: the controller of
+	// adaptive and resilient runs, the epochs of static ones. Clear it
+	// before a batch: an Observer carries per-run cursors and must not be
+	// shared between the concurrent controllers a batch spawns.
 	Obs *core.Observer
 }
 
@@ -118,100 +118,71 @@ func (r *Runner) finish(dev power.Metrics, off Offload) Result {
 	return res
 }
 
-// RunStatic offloads under a fixed device configuration.
-func (r *Runner) RunStatic(cfg config.Config, off Offload) (Result, error) {
-	res, _, err := r.RunStaticFull(context.Background(), cfg, off)
-	return res, err
-}
-
-// RunStaticFull is RunStatic with cooperative cancellation (checked at
-// every device epoch boundary) and the full device-side run result, so
-// callers that need the per-epoch logs — the job server streams them as
-// progress events — get them without a second simulation. RunStatic
-// delegates here, so the two are guaranteed to agree.
-func (r *Runner) RunStaticFull(ctx context.Context, cfg config.Config, off Offload) (Result, core.RunResult, error) {
+// RunStatic offloads under a fixed device configuration. Every Run method
+// checks ctx at each device epoch boundary and returns the device-side run
+// result alongside the offload economics, so callers that need the
+// per-epoch logs get them without a second simulation.
+func (r *Runner) RunStatic(ctx context.Context, cfg config.Config, off Offload) (Result, core.RunResult, error) {
 	if off.Workload.Trace == nil {
-		return Result{}, core.RunResult{}, fmt.Errorf("host: offload has no workload")
+		return Result{}, core.RunResult{}, errNoWorkload
 	}
-	run, err := core.RunStaticContext(ctx, r.Chip, r.BW, cfg, off.Workload, r.EpochScale)
-	if err != nil {
-		return Result{}, core.RunResult{}, err
-	}
-	return r.finish(run.Total, off), run, nil
+	run, err := core.Drive(ctx, sim.New(r.Chip, r.BW, cfg), core.OnWorkload(off.Workload, r.EpochScale), core.Hold(r.Obs))
+	return r.offload(off, run, err)
 }
 
 // RunAdaptive offloads under SparseAdapt control with the given model.
-func (r *Runner) RunAdaptive(model *core.Ensemble, opts core.Options, start config.Config, off Offload) (Result, error) {
-	res, _, err := r.RunAdaptiveFull(context.Background(), model, opts, start, off)
-	return res, err
-}
-
-// RunAdaptiveFull is RunAdaptive with cooperative cancellation (checked at
-// every epoch boundary) and the full device-side run result alongside the
-// offload economics. RunAdaptive delegates here, so a background context
-// produces bit-identical results on both paths.
-func (r *Runner) RunAdaptiveFull(ctx context.Context, model *core.Ensemble, opts core.Options, start config.Config, off Offload) (Result, core.RunResult, error) {
+func (r *Runner) RunAdaptive(ctx context.Context, model *core.Ensemble, opts core.Options, start config.Config, off Offload) (Result, core.RunResult, error) {
 	if off.Workload.Trace == nil {
-		return Result{}, core.RunResult{}, fmt.Errorf("host: offload has no workload")
+		return Result{}, core.RunResult{}, errNoWorkload
 	}
 	if opts.EpochScale <= 0 {
 		opts.EpochScale = r.EpochScale
 	}
-	m := sim.New(r.Chip, r.BW, start)
-	run, err := core.NewController(model, opts).Observe(r.Obs).RunContext(ctx, m, off.Workload)
-	if err != nil {
-		return Result{}, core.RunResult{}, err
-	}
-	return r.finish(run.Total, off), run, nil
+	ctl := core.NewController(model, opts).Observe(r.Obs)
+	run, err := core.Drive(ctx, sim.New(r.Chip, r.BW, start), core.OnWorkload(off.Workload, opts.EpochScale), ctl)
+	return r.offload(off, run, err)
 }
 
 // RunResilient offloads under resilient SparseAdapt control: the full
 // fault-tolerance layer (sanitizer, watchdog fallback, verified
 // reconfiguration, optional checkpointing) is active, and inject — which
-// may be nil for a clean run — perturbs the feedback loop. It returns the
-// full device-side run result so callers can read the resilience report
-// alongside the offload economics.
-func (r *Runner) RunResilient(model *core.Ensemble, opts core.ResilientOptions, start config.Config, off Offload, inject core.FaultInjector) (Result, core.RunResult, error) {
+// may be nil for a clean run — perturbs the feedback loop. The run result
+// carries the resilience report.
+func (r *Runner) RunResilient(ctx context.Context, model *core.Ensemble, opts core.ResilientOptions, start config.Config, off Offload, inject core.FaultInjector) (Result, core.RunResult, error) {
 	if off.Workload.Trace == nil {
-		return Result{}, core.RunResult{}, fmt.Errorf("host: offload has no workload")
+		return Result{}, core.RunResult{}, errNoWorkload
 	}
 	if opts.EpochScale <= 0 {
 		opts.EpochScale = r.EpochScale
 	}
-	m := sim.New(r.Chip, r.BW, start)
 	rc := core.NewResilientController(model, opts).Observe(r.Obs)
 	rc.Inject = inject
-	run, err := rc.Run(m, off.Workload)
+	run, err := rc.Run(ctx, sim.New(r.Chip, r.BW, start), off.Workload)
+	return r.offload(off, run, err)
+}
+
+var errNoWorkload = fmt.Errorf("host: offload has no workload")
+
+// offload adds the transfer economics to a device-side run.
+func (r *Runner) offload(off Offload, run core.RunResult, err error) (Result, core.RunResult, error) {
 	if err != nil {
 		return Result{}, core.RunResult{}, err
 	}
 	return r.finish(run.Total, off), run, nil
 }
 
-// RunBatchStatic serves a queue of offloads under a fixed device
-// configuration, one engine task per offload — the sweep-traffic path: each
-// dispatch simulates on its own machine, so N workers serve N clients
-// concurrently and results come back in request order. A nil eng serves the
-// queue serially.
-func (r *Runner) RunBatchStatic(ctx context.Context, eng *engine.Engine, cfg config.Config, offs []Offload) ([]Result, error) {
-	tasks := make([]engine.Task[Result], len(offs))
-	for i, off := range offs {
-		off := off
-		tasks[i] = engine.Task[Result]{Compute: func(ctx context.Context) (Result, error) {
-			return r.RunStatic(cfg, off)
-		}}
-	}
-	return engine.Map(ctx, eng, tasks)
-}
-
-// RunBatchAdaptive is RunBatchStatic under SparseAdapt control: every
-// offload runs its own controller over the shared (read-only) model.
+// RunBatchAdaptive serves a queue of offloads under SparseAdapt control,
+// one engine task per offload — the sweep-traffic path: each dispatch
+// simulates on its own machine with its own controller over the shared
+// (read-only) model, so N workers serve N clients concurrently and results
+// come back in request order. A nil eng serves the queue serially.
 func (r *Runner) RunBatchAdaptive(ctx context.Context, eng *engine.Engine, model *core.Ensemble, opts core.Options, start config.Config, offs []Offload) ([]Result, error) {
 	tasks := make([]engine.Task[Result], len(offs))
 	for i, off := range offs {
 		off := off
 		tasks[i] = engine.Task[Result]{Compute: func(ctx context.Context) (Result, error) {
-			return r.RunAdaptive(model, opts, start, off)
+			res, _, err := r.RunAdaptive(ctx, model, opts, start, off)
+			return res, err
 		}}
 	}
 	return engine.Map(ctx, eng, tasks)

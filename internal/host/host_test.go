@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"sparseadapt/internal/config"
+	"sparseadapt/internal/core"
 	"sparseadapt/internal/engine"
 	"sparseadapt/internal/kernels"
 	"sparseadapt/internal/matrix"
+	"sparseadapt/internal/ml"
 	"sparseadapt/internal/power"
 	"sparseadapt/internal/sim"
 )
@@ -46,7 +48,7 @@ func TestLinkTransfer(t *testing.T) {
 func TestRunStaticAddsTransfers(t *testing.T) {
 	off := makeOffload(t, 128, 1200)
 	r := NewRunner(chip, sim.DefaultBandwidth, 0.05)
-	res, err := r.RunStatic(config.Baseline, off)
+	res, _, err := r.RunStatic(context.Background(), config.Baseline, off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +68,11 @@ func TestRunStaticAddsTransfers(t *testing.T) {
 
 func TestSmallOffloadIsTransferDominated(t *testing.T) {
 	r := NewRunner(chip, sim.DefaultBandwidth, 0.05)
-	small, err := r.RunStatic(config.Baseline, makeOffload(t, 32, 64))
+	small, _, err := r.RunStatic(context.Background(), config.Baseline, makeOffload(t, 32, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := r.RunStatic(config.Baseline, makeOffload(t, 512, 10000))
+	big, _, err := r.RunStatic(context.Background(), config.Baseline, makeOffload(t, 512, 10000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestSmallOffloadIsTransferDominated(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	r := NewRunner(chip, sim.DefaultBandwidth, 1)
-	if _, err := r.RunStatic(config.Baseline, Offload{}); err == nil {
+	if _, _, err := r.RunStatic(context.Background(), config.Baseline, Offload{}); err == nil {
 		t.Fatal("empty offload accepted")
 	}
 }
@@ -106,8 +108,27 @@ func TestInputBytes(t *testing.T) {
 	}
 }
 
-func TestRunBatchStaticMatchesSerial(t *testing.T) {
+// constModel builds an ensemble that always predicts target, by training
+// single-leaf trees on constant labels.
+func constModel(t *testing.T, target config.Config) *core.Ensemble {
+	t.Helper()
+	x := [][]float64{make([]float64, core.NumFeatures), make([]float64, core.NumFeatures)}
+	x[1][0] = 1
+	ens := &core.Ensemble{Trees: map[config.Param]*ml.Tree{}}
+	for _, p := range config.RuntimeParams {
+		tree, err := ml.TrainTree(x, []int{target[p], target[p]}, ml.DefaultTreeParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ens.Trees[p] = tree
+	}
+	return ens
+}
+
+func TestRunBatchAdaptiveMatchesSerial(t *testing.T) {
 	r := NewRunner(chip, sim.DefaultBandwidth, 0.05)
+	model := constModel(t, config.MaxCfg)
+	opts := core.Options{Policy: core.Aggressive}
 	offs := []Offload{
 		makeOffload(t, 64, 300),
 		makeOffload(t, 128, 1200),
@@ -115,21 +136,24 @@ func TestRunBatchStaticMatchesSerial(t *testing.T) {
 	}
 	want := make([]Result, len(offs))
 	for i, off := range offs {
-		res, err := r.RunStatic(config.Baseline, off)
+		res, run, err := r.RunAdaptive(context.Background(), model, opts, config.Baseline, off)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if run.Reconfig == 0 {
+			t.Fatalf("offload %d: the controller never reconfigured", i)
 		}
 		want[i] = res
 	}
 	for _, workers := range []int{1, 4} {
 		eng := engine.New(engine.Options{Workers: workers})
-		got, err := r.RunBatchStatic(context.Background(), eng, config.Baseline, offs)
+		got, err := r.RunBatchAdaptive(context.Background(), eng, model, opts, config.Baseline, offs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d: batch result %d differs from serial RunStatic", workers, i)
+				t.Fatalf("workers=%d: batch result %d differs from serial RunAdaptive", workers, i)
 			}
 		}
 	}

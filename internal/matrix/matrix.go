@@ -365,11 +365,6 @@ func (m *CSR) Dense() [][]float64 {
 	return d
 }
 
-// Density returns NNZ / (Rows*Cols).
-func (m *CSR) Density() float64 {
-	return float64(m.NNZ()) / (float64(m.Rows) * float64(m.Cols))
-}
-
 // Equal reports whether two CSR matrices have identical structure and values
 // within tolerance tol.
 func (m *CSR) Equal(o *CSR, tol float64) bool {

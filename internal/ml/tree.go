@@ -241,12 +241,9 @@ func (t *Tree) NodeCount() int { return len(t.nodes) }
 // NumFeatures returns the feature-vector width the tree was trained on.
 func (t *Tree) NumFeatures() int { return t.nFeatures }
 
-// NumClasses returns the number of classes the tree predicts.
-func (t *Tree) NumClasses() int { return t.nClasses }
-
 // Validate checks the structural invariants Predict depends on, so a tree
 // deserialized from an untrusted (possibly corrupted) file cannot read out
-// of bounds, loop forever, or emit labels outside [0, NumClasses). Trees
+// of bounds, loop forever, or emit labels outside its class range. Trees
 // built by TrainTree always pass.
 func (t *Tree) Validate() error {
 	if t.nFeatures < 1 || t.nClasses < 1 {

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,7 +57,7 @@ func TestOracleMatchesBruteForce(t *testing.T) {
 	for len(w.Epochs(epochScale)) > 7 {
 		epochScale *= 2
 	}
-	rec, err := Record(chip, sim.DefaultBandwidth, w, epochScale, cfgs)
+	rec, err := RecordEngineMemo(context.Background(), nil, nil, chip, sim.DefaultBandwidth, w, epochScale, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestOraclePowerPerfNearBruteForce(t *testing.T) {
 	for len(w.Epochs(epochScale)) > 6 {
 		epochScale *= 2
 	}
-	rec, err := Record(chip, sim.DefaultBandwidth, w, epochScale, cfgs)
+	rec, err := RecordEngineMemo(context.Background(), nil, nil, chip, sim.DefaultBandwidth, w, epochScale, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}

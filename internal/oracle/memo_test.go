@@ -17,7 +17,7 @@ import (
 // concurrent memo access from the 4-worker pool.
 func TestRecordEngineMemoByteIdentical(t *testing.T) {
 	w, cfgs := recordWorkload(t)
-	ref, err := Record(chip, sim.DefaultBandwidth, w, 0.05, cfgs)
+	ref, err := RecordEngineMemo(context.Background(), nil, nil, chip, sim.DefaultBandwidth, w, 0.05, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestEngineParallelSpeedup(t *testing.T) {
 		t.Helper()
 		eng := engine.New(engine.Options{Workers: workers})
 		start := time.Now()
-		if _, err := RecordEngine(context.Background(), eng, chip, sim.DefaultBandwidth, w, 0.05, cfgs); err != nil {
+		if _, err := RecordEngineMemo(context.Background(), eng, nil, chip, sim.DefaultBandwidth, w, 0.05, cfgs); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

@@ -46,32 +46,19 @@ type Recording struct {
 	Grid [][]EpochRecord
 }
 
-// Record simulates the workload end-to-end under each configuration
-// (Appendix A.7 uses S = 256 random samples; callers pick the sample). The
-// provided configurations should share one L1 type. It runs serially; use
-// RecordEngine to spread the per-configuration simulations across workers.
-func Record(chip power.Chip, bw float64, w kernels.Workload, epochScale float64, cfgs []config.Config) (*Recording, error) {
-	return RecordEngine(context.Background(), nil, chip, bw, w, epochScale, cfgs)
-}
-
-// RecordEngine builds the recording with each configuration's end-to-end
-// simulation as one engine task. Rows are independent — every task gets a
-// fresh machine over the shared read-only trace — and the grid is assembled
-// in configuration order, so the recording is byte-identical at any worker
-// count. Rows are content-addressed by (trace fingerprint, epoching, chip,
-// bandwidth, configuration), so a warm cache skips re-simulating
-// configurations seen in earlier runs. A nil eng runs serially uncached.
-func RecordEngine(ctx context.Context, eng *engine.Engine, chip power.Chip, bw float64, w kernels.Workload, epochScale float64, cfgs []config.Config) (*Recording, error) {
-	return RecordEngineMemo(ctx, eng, nil, chip, bw, w, epochScale, cfgs)
-}
-
-// RecordEngineMemo is RecordEngine with an optional in-process replay memo
-// (sim.RunMemo): rows whose (trace, chip, bandwidth, config, epoching) key
-// was already replayed this process — by an earlier recording, a trainer
-// sweep or another experiment mode — are served from memory without
-// re-simulating, and are byte-identical to a cold replay. A nil memo is
-// exactly RecordEngine. The engine result cache still operates underneath
-// for cross-process reuse.
+// RecordEngineMemo simulates the workload end-to-end under each
+// configuration (Appendix A.7 uses S = 256 random samples; callers pick the
+// sample; the configurations should share one L1 type), each
+// configuration's simulation one engine task. Rows are independent — every
+// task gets a fresh machine over the shared read-only trace — and the grid
+// is assembled in configuration order, so the recording is byte-identical
+// at any worker count. Rows are content-addressed by (trace fingerprint,
+// epoching, chip, bandwidth, configuration), so a warm engine cache skips
+// re-simulating configurations seen in earlier runs; memo (sim.RunMemo)
+// additionally serves rows already replayed in this process — by an
+// earlier recording, a trainer sweep or another experiment mode — from
+// memory, byte-identical to a cold replay. A nil eng runs serially
+// uncached; a nil memo disables in-process replay reuse.
 func RecordEngineMemo(ctx context.Context, eng *engine.Engine, memo *sim.RunMemo, chip power.Chip, bw float64, w kernels.Workload, epochScale float64, cfgs []config.Config) (*Recording, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("oracle: no configurations to record")
@@ -108,22 +95,16 @@ func RecordEngineMemo(ctx context.Context, eng *engine.Engine, memo *sim.RunMemo
 	return rec, nil
 }
 
-// RecordSource builds the recording over the widened action space: each
-// sampled configuration is simulated on the trace of its own kernel
+// RecordSourceEngine builds the recording over the widened action space:
+// each sampled configuration is simulated on the trace of its own kernel
 // variant (dataflow × format × scheduling), split into the same number of
 // work-aligned epochs as the natural variant (sim.Trace.EpochsN) so rows
-// stitch cell-for-cell even though the underlying traces differ. It runs
-// serially; RecordSourceEngine spreads rows across workers.
-func RecordSource(chip power.Chip, bw float64, src *kernels.Source, epochScale float64, cfgs []config.Config) (*Recording, error) {
-	return RecordSourceEngine(context.Background(), nil, nil, chip, bw, src, epochScale, cfgs)
-}
-
-// RecordSourceEngine is the engine-parallel, memoizable form of
-// RecordSource. Rows are content-addressed by (variant trace fingerprint,
-// epoch grid, chip, bandwidth, configuration), so variants shared by many
-// configurations are traced once (the Source caches builds) and replayed
-// per configuration, byte-identical at any worker count. A nil eng runs
-// serially uncached; a nil memo disables in-process replay reuse.
+// stitch cell-for-cell even though the underlying traces differ. Rows are
+// content-addressed by (variant trace fingerprint, epoch grid, chip,
+// bandwidth, configuration), so variants shared by many configurations are
+// traced once (the Source caches builds) and replayed per configuration,
+// byte-identical at any worker count. A nil eng runs serially uncached; a
+// nil memo disables in-process replay reuse.
 func RecordSourceEngine(ctx context.Context, eng *engine.Engine, memo *sim.RunMemo, chip power.Chip, bw float64, src *kernels.Source, epochScale float64, cfgs []config.Config) (*Recording, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("oracle: no configurations to record")

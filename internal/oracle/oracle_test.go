@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,7 +20,7 @@ func record(t *testing.T, nCfg int) *Recording {
 	am := matrix.Uniform(rng, 96, 96, 900)
 	_, w, _ := kernels.SpMSpM(am.ToCSC(), am.ToCSR(), chip.NGPE(), chip.Tiles)
 	cfgs := SampleConfigs(rng, nCfg, config.CacheMode)
-	rec, err := Record(chip, sim.DefaultBandwidth, w, 0.05, cfgs)
+	rec, err := RecordEngineMemo(context.Background(), nil, nil, chip, sim.DefaultBandwidth, w, 0.05, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestRecordShape(t *testing.T) {
 }
 
 func TestRecordErrors(t *testing.T) {
-	if _, err := Record(chip, sim.DefaultBandwidth, kernels.Workload{}, 1, nil); err == nil {
+	if _, err := RecordEngineMemo(context.Background(), nil, nil, chip, sim.DefaultBandwidth, kernels.Workload{}, 1, nil); err == nil {
 		t.Fatal("empty config set accepted")
 	}
 }
@@ -168,7 +169,7 @@ func TestProfileIndexPrefersMax(t *testing.T) {
 	x := matrix.RandomVec(rng, 64, 0.5)
 	_, w, _ := kernels.SpMSpV(am.ToCSC(), x, chip.NGPE(), chip.Tiles)
 	cfgs := []config.Config{config.Baseline, config.MaxCfg, config.BestAvgCache}
-	rec, err := Record(chip, sim.DefaultBandwidth, w, 0.1, cfgs)
+	rec, err := RecordEngineMemo(context.Background(), nil, nil, chip, sim.DefaultBandwidth, w, 0.1, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"sparseadapt/internal/config"
 	"sparseadapt/internal/core"
@@ -179,24 +178,22 @@ func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (JobResu
 	runner.Obs = observer
 
 	if req.Mode == ModeStatic {
-		hres, run, err := runner.RunStaticFull(ctx, startCfg, off)
+		// Static epochs stream through a trace-only observer, so the
+		// controller_* counters count controlled epochs only.
+		runner.Obs = core.NewObserver(nil, tr)
+		runner.Obs.TraceCounters = req.Counters
+		hres, run, err := runner.RunStatic(ctx, startCfg, off)
 		if err != nil {
 			return JobResult{}, err
 		}
-		// Static runs bypass the controller and its observer; synthesize the
-		// epoch stream from the device-side log.
-		recs := epochRecords(run, req.Counters)
-		for _, rec := range recs {
-			emit(rec)
-		}
-		return JobResult{Host: hres, Epochs: len(run.Epochs), Reconfigs: run.Reconfig, Trace: recs}, nil
+		return JobResult{Host: hres, Epochs: len(run.Epochs), Reconfigs: run.Reconfig, Trace: tr.Epochs()}, nil
 	}
 
 	mode, err := modeFor(req.OptMode)
 	if err != nil {
 		return JobResult{}, err
 	}
-	model, err := s.models.get(sc, req.Scale, modelKernel, mode)
+	model, err := experiments.Model(sc, modelKernel, config.CacheMode, mode)
 	if err != nil {
 		return JobResult{}, fmt.Errorf("training model: %w", err)
 	}
@@ -204,7 +201,7 @@ func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (JobResu
 
 	switch req.Mode {
 	case ModeAdaptive:
-		hres, run, err := runner.RunAdaptiveFull(ctx, model, opts, startCfg, off)
+		hres, run, err := runner.RunAdaptive(ctx, model, opts, startCfg, off)
 		if err != nil {
 			return JobResult{}, err
 		}
@@ -221,10 +218,7 @@ func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (JobResu
 		if !spec.IsZero() {
 			inject = fault.New(spec)
 		}
-		// The resilient controller manages its own recovery machinery and
-		// runs to completion; cancellation takes effect between jobs, not
-		// mid-run (documented limitation, see docs/SERVER.md).
-		hres, run, err := runner.RunResilient(model, ropts, startCfg, off, inject)
+		hres, run, err := runner.RunResilient(ctx, model, ropts, startCfg, off, inject)
 		if err != nil {
 			return JobResult{}, err
 		}
@@ -369,64 +363,4 @@ func configFor(name string) (config.Config, error) {
 		return config.MaxCfg, nil
 	}
 	return config.Config{}, fmt.Errorf("unknown config %q", name)
-}
-
-// epochRecords converts a device-side run log to the trace-record form the
-// SSE stream carries, reproducing the observer's mapping (static runs
-// bypass the controller, so no observer saw them).
-func epochRecords(run core.RunResult, counters bool) []obs.EpochRecord {
-	recs := make([]obs.EpochRecord, 0, len(run.Epochs))
-	t := 0.0
-	for i, ep := range run.Epochs {
-		rec := obs.EpochRecord{
-			Epoch: i, Phase: ep.Phase, StartSec: t,
-			DurSec: ep.Metrics.TimeSec, EnergyJ: ep.Metrics.EnergyJ, FPOps: ep.Metrics.FPOps,
-			Config: ep.Config.String(), Reconfigured: ep.Reconfigured,
-		}
-		if counters {
-			names := sim.FeatureNames()
-			vals := ep.Counters.Features()
-			rec.Counters = make(map[string]float64, len(names))
-			for k, n := range names {
-				rec.Counters[n] = vals[k]
-			}
-		}
-		t += ep.Metrics.TimeSec
-		recs = append(recs, rec)
-	}
-	return recs
-}
-
-// modelCache memoizes trained ensembles by (scale, seed, kernel, mode).
-// Training is expensive (a full oracle + sweep pass), so concurrent jobs
-// wanting the same model wait for one training run instead of duplicating
-// it; the coarse lock is exactly that singleflight.
-type modelCache struct {
-	mu sync.Mutex
-	m  map[modelKey]*core.Ensemble
-}
-
-type modelKey struct {
-	scale  string
-	seed   int64
-	kernel string
-	mode   power.Mode
-}
-
-func (c *modelCache) get(sc experiments.Scale, scaleName, kernel string, mode power.Mode) (*core.Ensemble, error) {
-	key := modelKey{scale: scaleName, seed: sc.Seed, kernel: kernel, mode: mode}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = map[modelKey]*core.Ensemble{}
-	}
-	if ens, ok := c.m[key]; ok {
-		return ens, nil
-	}
-	ens, err := experiments.Model(sc, kernel, config.CacheMode, mode)
-	if err != nil {
-		return nil, err
-	}
-	c.m[key] = ens
-	return ens, nil
 }

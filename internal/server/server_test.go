@@ -130,7 +130,7 @@ func TestJobLifecycleMatchesHost(t *testing.T) {
 	}
 	opts := core.Options{Policy: core.Hybrid, Tolerance: 0.4, EpochScale: sc.Epoch}
 	r := host.NewRunner(sc.Chip, sc.BW, sc.Epoch)
-	want, err := r.RunAdaptive(model, opts, config.Baseline, off)
+	want, _, err := r.RunAdaptive(context.Background(), model, opts, config.Baseline, off)
 	if err != nil {
 		t.Fatal(err)
 	}

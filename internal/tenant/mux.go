@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"context"
 	"fmt"
 
 	"sparseadapt/internal/config"
@@ -276,34 +277,30 @@ func (x *Mux) switchTo(m **sim.Machine, cur **runJob, r *runJob, clock *float64,
 }
 
 // Isolated runs one job solo on a fresh machine of the same shape — the
-// baseline for slowdown accounting. The job's Control (if any) is stepped
-// exactly as the mux would, so the comparison is control-for-control.
+// baseline for slowdown accounting. The job's Control (if any) is driven
+// as the same step the mux feeds, so the comparison is control-for-control.
 func Isolated(chip power.Chip, bw float64, j Job) (TenantResult, error) {
 	if err := j.validate(); err != nil {
 		return TenantResult{}, err
 	}
+	step := core.Hold(nil)
+	if j.Control != nil {
+		step = j.Control
+	}
 	m := sim.New(chip, bw, j.Start)
-	m.BindTrace(j.Trace)
-	res := TenantResult{ID: j.ID, Class: j.Class}
-	for _, ep := range j.Epochs {
-		er := m.RunEpoch(ep)
-		res.Metrics.Add(er.Metrics)
-		res.EpochsRun++
-		if c := j.Control; c != nil {
-			before := m.Config()
-			c.Step(m, er)
-			if m.Config() != before {
-				res.Reconfigs++
-			}
-		}
+	run, err := core.Drive(context.Background(), m, core.OnTrace(j.Trace, j.Epochs), step)
+	if err != nil {
+		return TenantResult{}, err
+	}
+	res := TenantResult{
+		ID: j.ID, Class: j.Class, Metrics: run.Total,
+		EpochsRun: len(run.Epochs), Reconfigs: run.Reconfig, Final: m.Config(),
 	}
 	if c := j.Control; c != nil {
 		res.Resilience = c.Report()
-		c.Flush()
 	}
 	res.ServiceSec = res.Metrics.TimeSec
 	res.VirtualTimeSec = res.ServiceSec / float64(j.Class.Weight())
 	res.FinishSec = res.Metrics.TimeSec
-	res.Final = m.Config()
 	return res, nil
 }

@@ -164,15 +164,7 @@ func sweepPins(sw SweepSpec) (map[config.Param]int, error) {
 // more training data than profiling-configuration approaches and teaches
 // the model to predict from *any* configuration.
 func Generate(sw SweepSpec, mode power.Mode) (*Dataset, error) {
-	return GenerateH(sw, mode, 1)
-}
-
-// GenerateH builds a history-augmented dataset whose inputs carry the last
-// h telemetry frames (the Section 7 extension); h = 1 is the published
-// SparseAdapt feature layout. It runs serially; use GenerateEngine to run
-// the sweep points in parallel.
-func GenerateH(sw SweepSpec, mode power.Mode, h int) (*Dataset, error) {
-	return GenerateEngine(context.Background(), nil, sw, mode, h)
+	return GenerateEngine(context.Background(), nil, sw, mode, 1)
 }
 
 // sweepPoint is one independent unit of dataset generation: a (matrix
@@ -192,6 +184,8 @@ type sweepPoint struct {
 // byte-identical at 1 and N workers. Sweep-point results are
 // content-addressed by the full sweep parameters, so warmed caches skip
 // the configuration searches entirely. A nil eng runs serially uncached.
+// Inputs carry the last h telemetry frames (the Section 7 history
+// extension); h = 1 is the published SparseAdapt feature layout.
 func GenerateEngine(ctx context.Context, eng *engine.Engine, sw SweepSpec, mode power.Mode, h int) (*Dataset, error) {
 	if h < 1 {
 		h = 1

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -349,10 +350,11 @@ func checkMissMonotoneCapacity(rng *rand.Rand) error {
 		// Private caches, no prefetching: capacity is the only variable, so
 		// the access stream per bank is identical across the sweep.
 		cfg := config.Config{config.CacheMode, config.Private, config.Private, k, 2, 3, 0}
-		m := sim.New(corpusChip, corpusBW, cfg)
-		m.BindTrace(w.Trace)
-		r := m.RunEpoch(ep)
-		if mr := r.Counters.L1MissRate; mr > prevMiss+1e-12 {
+		rs, err := sim.RunEpochs(context.Background(), nil, corpusChip, corpusBW, cfg, w.Trace, []sim.EpochRange{ep})
+		if err != nil {
+			return err
+		}
+		if mr := rs[0].Counters.L1MissRate; mr > prevMiss+1e-12 {
 			return fmt.Errorf("n=%d: L1 miss rate rose from %v at %dkB to %v at %dkB", n, prevMiss, prevKB, mr, cfg.L1CapKB())
 		} else {
 			prevMiss, prevKB = mr, cfg.L1CapKB()
@@ -463,7 +465,7 @@ func checkOracleEEBound(rng *rand.Rand) error {
 		return err
 	}
 	cfgs := oracle.SampleConfigs(rng, 4, config.CacheMode)
-	rec, err := oracle.Record(corpusChip, corpusBW, w, 0.1, cfgs)
+	rec, err := oracle.RecordEngineMemo(context.Background(), nil, nil, corpusChip, corpusBW, w, 0.1, cfgs)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -164,7 +165,7 @@ func CheckControllerEDP() ([]EDPReport, error) {
 			return nil, err
 		}
 		cfgs := oracle.SampleConfigs(rand.New(rand.NewSource(s.Seed+200)), 8, config.CacheMode)
-		rec, err := oracle.RecordSource(corpusChip, corpusBW, src, s.EpochScale, cfgs)
+		rec, err := oracle.RecordSourceEngine(context.Background(), nil, nil, corpusChip, corpusBW, src, s.EpochScale, cfgs)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: oracle recording: %w", s.Name, err)
 		}
