@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 )
 
 // Param identifies one hardware configuration parameter.
@@ -251,40 +252,56 @@ func FromIndex(idx int) Config {
 	return c
 }
 
-// All enumerates the configuration space in Index order. With a fixed
-// l1Type (the compile-time parameter) pass it via Filter instead.
-func All() []Config {
-	out := make([]Config, SpaceSize())
-	for i := range out {
-		out[i] = FromIndex(i)
-	}
-	return out
-}
+// spaces holds, per L1 type (CacheMode, SPMMode), every configuration with
+// that L1 type in Index order — the runtime-reachable space given the
+// compiler's choice. Each is built once, on first use, and never handed
+// out: Sample copies from it.
+var (
+	spaceOnce [2]sync.Once
+	spaces    [2][]Config
+)
 
-// WithL1Type returns all configurations whose L1 type matches t
-// (CacheMode or SPMMode) — the runtime-reachable space given the
-// compiler's choice.
-func WithL1Type(t int) []Config {
-	var out []Config
-	for i, n := 0, SpaceSize(); i < n; i++ {
-		c := FromIndex(i)
-		if c[L1Type] == t {
-			out = append(out, c)
-		}
+// spaceOf returns the shared configuration space of an L1 type, or nil for
+// an unknown type.
+func spaceOf(l1Type int) []Config {
+	if l1Type != CacheMode && l1Type != SPMMode {
+		return nil
 	}
-	return out
+	spaceOnce[l1Type].Do(func() {
+		n := SpaceSize()
+		s := make([]Config, 0, n/cardinality[L1Type])
+		for i := 0; i < n; i++ {
+			if c := FromIndex(i); c[L1Type] == l1Type {
+				s = append(s, c)
+			}
+		}
+		spaces[l1Type] = s
+	})
+	return spaces[l1Type]
 }
 
 // Sample draws k distinct configurations uniformly at random from the space
 // with the given L1 type fixed, the "random sampling" step of the paper's
-// best-configuration search (Section 4.1, step 1).
+// best-configuration search (Section 4.1, step 1). It shuffles positions
+// into the precomputed space with one rng.Shuffle over the whole space, so
+// the sample and the RNG state afterwards are those of shuffling the space
+// itself. When k covers the space, the whole space is returned in Index
+// order and the RNG is not used. The result is the caller's to modify.
 func Sample(rng *rand.Rand, k, l1Type int) []Config {
-	space := WithL1Type(l1Type)
+	space := spaceOf(l1Type)
 	if k >= len(space) {
-		return space
+		return append([]Config(nil), space...)
 	}
-	rng.Shuffle(len(space), func(i, j int) { space[i], space[j] = space[j], space[i] })
-	return space[:k]
+	pos := make([]int32, len(space))
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	rng.Shuffle(len(pos), func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
+	out := make([]Config, k)
+	for i := range out {
+		out[i] = space[pos[i]]
+	}
+	return out
 }
 
 // Neighbors returns the configurations adjacent to c: each runtime

@@ -40,15 +40,16 @@ func TestIndexRoundTripExhaustive(t *testing.T) {
 }
 
 func TestAllUniqueAndValid(t *testing.T) {
-	seen := map[int]bool{}
-	for _, c := range All() {
+	seen := map[Config]bool{}
+	for i, n := 0, SpaceSize(); i < n; i++ {
+		c := FromIndex(i)
 		if !c.Valid() {
 			t.Fatalf("invalid config %v", c)
 		}
-		if seen[c.Index()] {
-			t.Fatalf("duplicate index %d", c.Index())
+		if seen[c] {
+			t.Fatalf("duplicate config %v at index %d", c, i)
 		}
-		seen[c.Index()] = true
+		seen[c] = true
 	}
 	if len(seen) != 64800 {
 		t.Fatalf("enumerated %d configs", len(seen))
@@ -76,16 +77,25 @@ func TestPhysicalValues(t *testing.T) {
 	}
 }
 
+// TestWithL1Type checks the per-L1-type spaces Sample draws from: an even
+// split of the whole space, in Index order, each with its own L1 type.
 func TestWithL1Type(t *testing.T) {
-	cache := WithL1Type(CacheMode)
-	spm := WithL1Type(SPMMode)
-	if len(cache)+len(spm) != 64800 || len(cache) != len(spm) {
+	cache, spm := spaceOf(CacheMode), spaceOf(SPMMode)
+	if len(cache)+len(spm) != SpaceSize() || len(cache) != len(spm) {
 		t.Fatalf("split %d/%d", len(cache), len(spm))
 	}
-	for _, c := range cache {
-		if c.L1IsSPM() {
-			t.Fatal("SPM config in cache set")
+	for l1, space := range [][]Config{cache, spm} {
+		for i, c := range space {
+			if c[L1Type] != l1 {
+				t.Fatalf("L1 type %d space holds %v", l1, c)
+			}
+			if i > 0 && c.Index() <= space[i-1].Index() {
+				t.Fatalf("L1 type %d space out of Index order at %d", l1, i)
+			}
 		}
+	}
+	if spaceOf(2) != nil {
+		t.Fatal("unknown L1 type has a space")
 	}
 }
 

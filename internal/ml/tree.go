@@ -9,7 +9,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Classifier predicts a class label from a feature vector.
@@ -72,6 +71,9 @@ func TrainTree(x [][]float64, y []int, p TreeParams) (*Tree, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, fmt.Errorf("ml: bad training set: %d samples, %d labels", len(x), len(y))
 	}
+	if len(x) > math.MaxInt32 {
+		return nil, fmt.Errorf("ml: training set of %d samples is too large", len(x))
+	}
 	if p.MinSamplesLeaf < 1 {
 		p.MinSamplesLeaf = 1
 	}
@@ -86,12 +88,91 @@ func TrainTree(x [][]float64, y []int, p TreeParams) (*Tree, error) {
 		}
 	}
 	t := &Tree{nFeatures: nf, nClasses: nc, importance: make([]float64, nf), params: p}
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	t.build(x, y, idx, 0)
+	newGrower(t, x, y).build(0, len(x), 0)
 	return t, nil
+}
+
+// grower holds the working state of one TrainTree call. Every feature's
+// sample indices are sorted once, by (value, index); a node owns the same
+// [lo,hi) segment of every column, so it scans each feature in value order
+// without sorting, and a split partitions each segment stably in place.
+type grower struct {
+	t       *Tree
+	y       []int
+	vals    [][]float64 // vals[f][i] = x[i][f], one contiguous column per feature
+	cols    [][]int32   // cols[f]: sample indices, sorted by (vals[f][i], i) once the root splits
+	scratch []int32     // right half of a column while partitioning
+
+	counts, leftCnt, rightCnt []int
+}
+
+func newGrower(t *Tree, x [][]float64, y []int) *grower {
+	n := len(x)
+	g := &grower{
+		t: t, y: y,
+		vals:     make([][]float64, t.nFeatures),
+		cols:     make([][]int32, t.nFeatures),
+		scratch:  make([]int32, 0, n),
+		counts:   make([]int, t.nClasses),
+		leftCnt:  make([]int, t.nClasses),
+		rightCnt: make([]int, t.nClasses),
+	}
+	for f := range g.cols {
+		v, col := make([]float64, n), make([]int32, n)
+		for i := range v {
+			v[i], col[i] = x[i][f], int32(i)
+		}
+		g.vals[f], g.cols[f] = v, col
+	}
+	return g
+}
+
+// sortColumns orders every column by (value, index) with a stable LSD
+// radix sort over order-preserving keys: the columns start in index order,
+// so stability breaks ties by index. The root calls it once it knows it may
+// split, so a pure or too-small training set costs no sort.
+func (g *grower) sortColumns() {
+	n := len(g.y)
+	keys, nextKeys := make([]uint64, n), make([]uint64, n)
+	next := make([]int32, n)
+	for f, col := range g.cols {
+		var hist [8][256]int
+		for i, v := range g.vals[f] {
+			keys[i] = sortKey(v)
+			for d := range hist {
+				hist[d][byte(keys[i]>>(8*d))]++
+			}
+		}
+		for d := range hist {
+			if hist[d][byte(keys[0]>>(8*d))] == n {
+				continue // every key has the same byte d
+			}
+			pos := 0
+			for b, c := range hist[d] {
+				hist[d][b], pos = pos, pos+c
+			}
+			for k, i := range col {
+				b := byte(keys[k] >> (8 * d))
+				next[hist[d][b]], nextKeys[hist[d][b]] = i, keys[k]
+				hist[d][b]++
+			}
+			copy(col, next)
+			keys, nextKeys = nextKeys, keys
+		}
+	}
+}
+
+// sortKey maps v to a key whose unsigned order is v's numeric order, with
+// -0 and +0 equal as they are under <.
+func sortKey(v float64) uint64 {
+	if v == 0 {
+		v = 0
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // impurity computes the node impurity from class counts.
@@ -130,50 +211,53 @@ func majority(counts []int) int {
 	return best
 }
 
-// build grows the subtree over the samples in idx and returns its node id.
-func (t *Tree) build(x [][]float64, y []int, idx []int, depth int) int {
-	counts := make([]int, t.nClasses)
-	for _, i := range idx {
+// build grows the subtree over the samples in segment [lo,hi) of the
+// columns and returns its node id. Splits fall only between distinct
+// values, and the class counts left of such a boundary do not depend on
+// how tied values are ordered, so the tree equals that of sorting every
+// node's samples afresh.
+func (g *grower) build(lo, hi, depth int) int {
+	t, y, n := g.t, g.y, hi-lo
+	counts, leftCnt, rightCnt := g.counts, g.leftCnt, g.rightCnt
+	clear(counts)
+	for _, i := range g.cols[0][lo:hi] {
 		counts[y[i]]++
 	}
 	id := len(t.nodes)
-	t.nodes = append(t.nodes, node{feature: -1, label: majority(counts), samples: len(idx)})
+	t.nodes = append(t.nodes, node{feature: -1, label: majority(counts), samples: n})
 
-	imp := impurity(counts, len(idx), t.params.Criterion)
-	if imp == 0 || len(idx) < 2*t.params.MinSamplesLeaf ||
+	imp := impurity(counts, n, t.params.Criterion)
+	if imp == 0 || n < 2*t.params.MinSamplesLeaf ||
 		(t.params.MaxDepth > 0 && depth >= t.params.MaxDepth) {
 		return id
 	}
 
+	if depth == 0 {
+		g.sortColumns()
+	}
 	bestFeat, bestThr, bestGain := -1, 0.0, 1e-12
-	sorted := make([]int, len(idx))
-	leftCnt := make([]int, t.nClasses)
-	for f := 0; f < t.nFeatures; f++ {
-		copy(sorted, idx)
-		sort.Slice(sorted, func(a, b int) bool { return x[sorted[a]][f] < x[sorted[b]][f] })
-		for c := range leftCnt {
-			leftCnt[c] = 0
-		}
-		for k := 0; k < len(sorted)-1; k++ {
+	for f, v := range g.vals {
+		sorted := g.cols[f][lo:hi]
+		clear(leftCnt)
+		for k := 0; k < n-1; k++ {
 			leftCnt[y[sorted[k]]]++
 			nl := k + 1
-			nr := len(sorted) - nl
+			nr := n - nl
 			if nl < t.params.MinSamplesLeaf || nr < t.params.MinSamplesLeaf {
 				continue
 			}
-			v, vn := x[sorted[k]][f], x[sorted[k+1]][f]
-			if v == vn {
+			v0, v1 := v[sorted[k]], v[sorted[k+1]]
+			if v0 == v1 {
 				continue // cannot split between equal values
 			}
-			rightCnt := make([]int, t.nClasses)
 			for c := range rightCnt {
 				rightCnt[c] = counts[c] - leftCnt[c]
 			}
 			gain := imp -
 				(float64(nl)*impurity(leftCnt, nl, t.params.Criterion)+
-					float64(nr)*impurity(rightCnt, nr, t.params.Criterion))/float64(len(sorted))
+					float64(nr)*impurity(rightCnt, nr, t.params.Criterion))/float64(n)
 			if gain > bestGain {
-				bestFeat, bestThr, bestGain = f, (v+vn)/2, gain
+				bestFeat, bestThr, bestGain = f, (v0+v1)/2, gain
 			}
 		}
 	}
@@ -181,25 +265,42 @@ func (t *Tree) build(x [][]float64, y []int, idx []int, depth int) int {
 		return id
 	}
 
-	var li, ri []int
-	for _, i := range idx {
-		if x[i][bestFeat] <= bestThr {
-			li = append(li, i)
-		} else {
-			ri = append(ri, i)
-		}
-	}
-	if len(li) == 0 || len(ri) == 0 {
+	nl := g.partition(lo, hi, bestFeat, bestThr)
+	if nl == 0 || nl == n {
 		return id
 	}
-	t.importance[bestFeat] += float64(len(idx)) * bestGain
-	l := t.build(x, y, li, depth+1)
-	r := t.build(x, y, ri, depth+1)
+	t.importance[bestFeat] += float64(n) * bestGain
+	l := g.build(lo, lo+nl, depth+1)
+	r := g.build(lo+nl, hi, depth+1)
 	t.nodes[id].feature = bestFeat
 	t.nodes[id].threshold = bestThr
 	t.nodes[id].left = l
 	t.nodes[id].right = r
 	return id
+}
+
+// partition splits segment [lo,hi) of every column stably into the samples
+// with feature feat ≤ thr followed by the rest, keeping both halves
+// sorted, and returns the size of the first half. The test is applied per
+// sample rather than by boundary position: a midpoint threshold can round
+// onto the larger of two neighbouring values.
+func (g *grower) partition(lo, hi, feat int, thr float64) int {
+	v := g.vals[feat]
+	nl := 0
+	for _, col := range g.cols {
+		seg, right := col[lo:hi], g.scratch[:0]
+		nl = 0
+		for _, i := range seg {
+			if v[i] <= thr {
+				seg[nl] = i
+				nl++
+			} else {
+				right = append(right, i)
+			}
+		}
+		copy(seg[nl:], right)
+	}
+	return nl
 }
 
 // Predict returns the predicted class of x.

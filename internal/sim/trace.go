@@ -89,7 +89,11 @@ type PhaseMark struct {
 // Trace is one kernel execution: the event stream, the data-layout regions
 // and the explicit phase marks. A Trace is shared read-only between
 // concurrently replaying machines and must not be copied by value once in
-// use (it carries a lazily built replay-index cache guarded by a mutex).
+// use (it carries lazily built caches guarded by a mutex and a sync.Once).
+//
+// A Trace is immutable once built: Builder's methods are the only writers
+// of its fields. The replay-index cache and the cached fingerprint both
+// rely on this — mutating a built trace would leave them stale.
 type Trace struct {
 	Events  []Event
 	Regions []Region
@@ -108,6 +112,10 @@ type Trace struct {
 	// trace; see epochAggFor. Lazily built, safe for concurrent machines.
 	aggMu sync.RWMutex
 	aggs  map[[2]int]*epochAgg
+
+	// fp caches Fingerprint, computed on first call.
+	fpOnce sync.Once
+	fp     uint64
 }
 
 // epochAgg is the precomputed replay index of one epoch range: the indices
@@ -369,8 +377,15 @@ func (b *Builder) Build() *Trace {
 // events, regions, phases and topology — used as the "matrix identity"
 // component of content-addressed simulation cache keys. Two traces with the
 // same fingerprint replay identically, so it captures everything a cached
-// epoch result depends on from the workload side.
+// epoch result depends on from the workload side. It is computed once per
+// trace and cached; concurrent callers are safe.
 func (t *Trace) Fingerprint() uint64 {
+	t.fpOnce.Do(func() { t.fp = t.fingerprint() })
+	return t.fp
+}
+
+// fingerprint hashes the trace content byte by byte; see Fingerprint.
+func (t *Trace) fingerprint() uint64 {
 	const (
 		offset64 = 1469598103934665603
 		prime64  = 1099511628211
