@@ -188,6 +188,7 @@ type modelKey struct {
 	l1Type int
 	mode   power.Mode
 	scale  float64
+	seed   int64
 	tiles  int
 	gpes   int
 	hist   int
@@ -199,7 +200,7 @@ var (
 )
 
 // Model trains (or returns the cached) per-parameter ensemble for a kernel,
-// L1 type and optimization mode at the given training scale.
+// L1 type and optimization mode at the given training scale and seed.
 func Model(sc Scale, kernel string, l1Type int, mode power.Mode) (*core.Ensemble, error) {
 	return HistoryModel(sc, kernel, l1Type, mode, 1)
 }
@@ -210,7 +211,7 @@ func HistoryModel(sc Scale, kernel string, l1Type int, mode power.Mode, h int) (
 	if h < 1 {
 		h = 1
 	}
-	key := modelKey{kernel, l1Type, mode, sc.Train, sc.Chip.Tiles, sc.Chip.GPEsPerTile, h}
+	key := modelKey{kernel, l1Type, mode, sc.Train, sc.Seed, sc.Chip.Tiles, sc.Chip.GPEsPerTile, h}
 	modelMu.Lock()
 	defer modelMu.Unlock()
 	if m, ok := modelCache[key]; ok {
