@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -64,6 +65,39 @@ func TestEveryPackageHasDocComment(t *testing.T) {
 		if !documented[dir] {
 			rel, _ := filepath.Rel(root, dir)
 			t.Errorf("package in %s has no package doc comment on any file", rel)
+		}
+	}
+}
+
+// TestDocsNameExistingCommands fails if README.md, DESIGN.md or a
+// docs/*.md page names a cmd/<x> binary (bare, or in a `go run ./cmd/<x>`
+// line) that has no Go package in the repository, so folding or renaming
+// a binary cannot leave its instructions behind. CI runs it in the
+// docs-health step.
+func TestDocsNameExistingCommands(t *testing.T) {
+	pages, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages = append([]string{"README.md", "DESIGN.md"}, pages...)
+	cmdRef := regexp.MustCompile(`\bcmd/([A-Za-z0-9_-]+)`)
+	exists := map[string]bool{}
+	for _, page := range pages {
+		data, err := os.ReadFile(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range cmdRef.FindAllStringSubmatch(line, -1) {
+				name := m[1]
+				if _, seen := exists[name]; !seen {
+					gofiles, _ := filepath.Glob(filepath.Join("cmd", name, "*.go"))
+					exists[name] = len(gofiles) > 0
+				}
+				if !exists[name] {
+					t.Errorf("%s:%d names cmd/%s, which does not exist", page, i+1, name)
+				}
+			}
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package cli implements the sparseadapt command: it lists and runs the
-// paper's experiments, trains and saves predictive models, runs individual
-// workloads under SparseAdapt control, prints the dataset inventory and
-// checks reproduced results against recorded references. The cmd/ binaries
-// are thin wrappers so everything here is testable in-process.
+// paper's experiments, generates training datasets and trains and saves
+// predictive models, runs individual workloads under SparseAdapt control,
+// runs the oracle upper-bound study, prints the dataset inventory and
+// checks reproduced results against recorded references. cmd/sparseadapt
+// is a thin wrapper so everything here is testable in-process.
 package cli
 
 import (
@@ -11,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 
@@ -20,7 +20,6 @@ import (
 	"sparseadapt/internal/experiments"
 	"sparseadapt/internal/fault"
 	"sparseadapt/internal/flagcheck"
-	"sparseadapt/internal/graph"
 	"sparseadapt/internal/kernels"
 	"sparseadapt/internal/matrix"
 	"sparseadapt/internal/ml"
@@ -57,6 +56,8 @@ func MainContext(ctx context.Context, args []string, stdout io.Writer) int {
 		err = cmdTrain(ctx, stdout, args[1:])
 	case "run":
 		err = cmdRun(ctx, stdout, args[1:])
+	case "oracle":
+		err = cmdOracle(ctx, stdout, args[1:])
 	case "submit":
 		err = cmdSubmit(ctx, stdout, args[1:])
 	case "check":
@@ -84,8 +85,8 @@ func MainContext(ctx context.Context, args []string, stdout io.Writer) int {
 }
 
 // flagError marks a flag-range violation so MainContext exits with the
-// usage code (2, all violations joined), matching the flag contract of
-// the standalone binaries (see internal/flagcheck).
+// usage code (2, all violations joined), matching sparseadaptd's flag
+// contract (see internal/flagcheck).
 type flagError struct{ error }
 
 func usage(w io.Writer) {
@@ -95,10 +96,13 @@ commands:
   list                 list reproducible experiments (paper figures/tables)
   datasets             print the evaluation matrix suite (Table 5)
   exp <id>|all [flags] run one experiment (or all) and print its report
-  train [flags]        generate training data and fit the predictive model
+  train [flags]        generate the Table 3 training dataset and fit the
+                       predictive model (-dataset/-csv keep the raw examples)
   run [flags]          run one workload under SparseAdapt vs the baselines
                        (-faults injects failures, -checkpoint/-resume cover
                        crash recovery; see README)
+  oracle [flags]       upper-bound study for one workload: ideal static,
+                       ideal greedy, oracle and ProfileAdapt in both modes
   check [flags]        re-run the suite at test scale and diff against the
                        recorded reference shapes (artifact rep_check)
   verify [flags]       run the verification subsystem: golden-trace corpus,
@@ -107,41 +111,6 @@ commands:
   submit [flags]       submit a job to a sparseadaptd server and stream its
                        progress (see docs/SERVER.md)
   version              print build identity (also -version on every binary)`)
-}
-
-func scaleByName(name string) (experiments.Scale, error) {
-	switch name {
-	case "test":
-		return experiments.TestScale(), nil
-	case "small":
-		return experiments.SmallScale(), nil
-	case "paper":
-		return experiments.PaperScale(), nil
-	default:
-		return experiments.Scale{}, fmt.Errorf("unknown scale %q (test|small|paper)", name)
-	}
-}
-
-func modeByName(name string) (power.Mode, error) {
-	switch name {
-	case "ee", "energy-efficient":
-		return power.EnergyEfficient, nil
-	case "pp", "power-performance":
-		return power.PowerPerformance, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (ee|pp)", name)
-	}
-}
-
-func l1ByName(name string) (int, error) {
-	switch name {
-	case "cache":
-		return config.CacheMode, nil
-	case "spm":
-		return config.SPMMode, nil
-	default:
-		return 0, fmt.Errorf("unknown L1 type %q (cache|spm)", name)
-	}
 }
 
 func cmdList(w io.Writer) error {
@@ -185,7 +154,7 @@ func cmdExp(ctx context.Context, w io.Writer, args []string) error {
 	if id == "" {
 		return fmt.Errorf("usage: sparseadapt exp <id> [-scale ...]")
 	}
-	sc, err := scaleByName(*scaleName)
+	sc, err := experiments.ScaleByName(*scaleName)
 	if err != nil {
 		return err
 	}
@@ -199,7 +168,7 @@ func cmdExp(ctx context.Context, w io.Writer, args []string) error {
 		return err
 	}
 	if id == "all" {
-		reps, err := experiments.RunAllContext(ctx, sc, *csvDir)
+		reps, err := experiments.RunAll(ctx, sc, *csvDir)
 		for _, rep := range reps {
 			fmt.Fprint(w, rep.String())
 			fmt.Fprintln(w)
@@ -249,6 +218,9 @@ func cmdTrain(ctx context.Context, w io.Writer, args []string) error {
 	l1 := fs.String("l1", "cache", "L1 type: cache|spm")
 	modeName := fs.String("mode", "ee", "optimization mode: ee|pp")
 	scale := fs.Float64("scale", 0.3, "training sweep scale (1 = Table 3)")
+	seed := fs.Int64("seed", 1, "deterministic sweep seed")
+	dataflow := fs.String("dataflow", "", "pin the SpMSpM dataflow axis: outer|inner|row (empty = search the full space)")
+	format := fs.String("format", "", "pin the A-operand storage format: csr|csc|coo (empty = search the full space)")
 	out := fs.String("out", "model.json", "output model path")
 	dsOut := fs.String("dataset", "", "optional dataset JSON output path")
 	csvOut := fs.String("csv", "", "optional dataset CSV output path")
@@ -258,24 +230,33 @@ func cmdTrain(ctx context.Context, w io.Writer, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, err := modeByName(*modeName)
+	var check flagcheck.Check
+	check.PositiveFloat("scale", *scale)
+	checkAxes(&check, *dataflow, *format)
+	if err := check.Err(); err != nil {
+		return flagError{err}
+	}
+	mode, err := power.ModeByName(*modeName)
 	if err != nil {
 		return err
 	}
-	l1Type, err := l1ByName(*l1)
+	l1Type, err := config.L1TypeByName(*l1)
 	if err != nil {
 		return err
 	}
 	if err := of.start("sparseadapt train", fs, args, w); err != nil {
 		return err
 	}
-	of.annotate(0, fmt.Sprintf("sweep=%g", *scale))
+	of.annotate(*seed, fmt.Sprintf("sweep=%g", *scale))
 	defer of.finish(w) //nolint:errcheck // interrupt path; success path checks
 	eng, err := ef.build(w, of)
 	if err != nil {
 		return err
 	}
 	sw := trainer.DefaultSweep(*kernel, l1Type, *scale)
+	sw.Seed = *seed
+	sw.PinDataflow = *dataflow
+	sw.PinFormat = *format
 	fmt.Fprintf(w, "generating dataset: kernel=%s l1=%s mode=%s dims=%v densities=%v bw=%v K=%d workers=%d\n",
 		*kernel, *l1, mode, sw.Dims, sw.Densities, sw.BandwidthsGBps, sw.K, eng.Workers())
 	ds, err := trainer.GenerateEngine(ctx, eng, sw, mode, 1)
@@ -335,31 +316,33 @@ func cmdRun(ctx context.Context, w io.Writer, args []string) error {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 	var check flagcheck.Check
-	if *dataflowName != "" {
-		check.OneOf("dataflow", *dataflowName, config.DataflowNames()...)
-	}
-	if *formatName != "" {
-		check.OneOf("format", *formatName, config.FormatNames()...)
-	}
+	checkAxes(&check, *dataflowName, *formatName)
 	if err := check.Err(); err != nil {
 		return flagError{err}
 	}
-	// pinAxes projects a configuration onto the requested algorithm axes so
-	// every scheme in the comparison runs the same kernel variant.
-	pinAxes := func(c config.Config) config.Config {
-		if *dataflowName != "" {
-			v, _ := config.DataflowByName(*dataflowName) // validated above
-			c[config.Dataflow] = v
-		}
-		if *formatName != "" {
-			v, _ := config.FormatByName(*formatName)
-			c[config.Format] = v
-		}
-		return c
-	}
-	sc, err := scaleByName(*scaleName)
+	pinAxes := axisPinner(*dataflowName, *formatName)
+	sc, err := experiments.ScaleByName(*scaleName)
 	if err != nil {
 		return err
+	}
+	mode, err := power.ModeByName(*modeName)
+	if err != nil {
+		return err
+	}
+	in, err := experiments.NewInput(sc, *kernel, *matID, nil)
+	if err != nil {
+		return err
+	}
+	// The kernel's default options (Section 5.4), with the flags'
+	// overrides on top; -tolerance only tunes a hybrid default.
+	opts := core.KernelOptions(in.ModelKernel, sc.Epoch)
+	if opts.Policy == core.Hybrid {
+		opts.Tolerance = *tolerance
+	}
+	if *policy != "" {
+		if opts.Policy, err = core.PolicyByName(*policy); err != nil {
+			return err
+		}
 	}
 	if err := of.start("sparseadapt run", fs, args, w); err != nil {
 		return err
@@ -371,75 +354,31 @@ func cmdRun(ctx context.Context, w io.Writer, args []string) error {
 	if sc.Eng, err = ef.build(w, of); err != nil {
 		return err
 	}
-	mode, err := modeByName(*modeName)
-	if err != nil {
-		return err
-	}
-	entry, err := matrix.Entry(*matID)
-	if err != nil {
-		return err
-	}
-	am := entry.Generate(sc.Matrix, sc.Seed)
-	a := am.ToCSC()
 	var wl kernels.Workload
-	modelKernel := *kernel
-	pinned := *dataflowName != "" || *formatName != ""
-	switch *kernel {
-	case "spmspm":
-		if pinned {
-			wl, err = kernels.NewSpMSpMSource(*matID, a, am.ToCSR().Transpose(), sc.Chip.NGPE(), sc.Chip.Tiles).Variant(pinAxes(config.Baseline))
-		} else {
-			_, wl, err = kernels.SpMSpM(a, am.ToCSR().Transpose(), sc.Chip.NGPE(), sc.Chip.Tiles)
+	if *dataflowName != "" || *formatName != "" {
+		src, err := in.Source()
+		if err != nil {
+			return fmt.Errorf("-dataflow/-format: %w", err)
 		}
-	case "spmspv":
-		x := matrix.RandomVec(randSrc(sc.Seed), a.Cols, 0.5)
-		if pinned {
-			wl, err = kernels.NewSpMSpVSource(*matID, a, x, sc.Chip.NGPE(), sc.Chip.Tiles).Variant(pinAxes(config.Baseline))
-		} else {
-			_, wl, err = kernels.SpMSpV(a, x, sc.Chip.NGPE(), sc.Chip.Tiles)
+		if wl, err = src.Variant(pinAxes(config.Baseline)); err != nil {
+			return err
 		}
-	case "bfs", "sssp":
-		if pinned {
-			return fmt.Errorf("-dataflow/-format apply to spmspm/spmspv only, not %q", *kernel)
+	} else {
+		off, err := in.Offload()
+		if err != nil {
+			return err
 		}
-		src := 0
-		if *kernel == "bfs" {
-			_, wl, err = graph.BFS(a, src, sc.Chip.NGPE(), sc.Chip.Tiles)
-		} else {
-			_, wl, err = graph.SSSP(a, src, sc.Chip.NGPE(), sc.Chip.Tiles)
-		}
-		modelKernel = "spmspv"
-	default:
-		return fmt.Errorf("unknown kernel %q", *kernel)
-	}
-	if err != nil {
-		return err
+		wl = off.Workload
 	}
 
 	var ens *core.Ensemble
 	if *modelPath != "" {
 		ens, err = core.LoadEnsemble(*modelPath)
 	} else {
-		ens, err = experiments.Model(sc, modelKernel, config.CacheMode, mode)
+		ens, err = experiments.Model(sc, in.ModelKernel, config.CacheMode, mode)
 	}
 	if err != nil {
 		return err
-	}
-
-	opts := core.Options{Policy: core.Hybrid, Tolerance: *tolerance, EpochScale: sc.Epoch}
-	if modelKernel == "spmspm" {
-		opts = core.Options{Policy: core.Conservative, EpochScale: sc.Epoch}
-	}
-	switch *policy {
-	case "conservative":
-		opts.Policy = core.Conservative
-	case "aggressive":
-		opts.Policy = core.Aggressive
-	case "hybrid":
-		opts.Policy = core.Hybrid
-	case "":
-	default:
-		return fmt.Errorf("unknown policy %q", *policy)
 	}
 
 	base := core.RunStatic(sc.Chip, sc.BW, pinAxes(config.Baseline), wl, sc.Epoch)
@@ -505,5 +444,35 @@ func cmdRun(ctx context.Context, w io.Writer, args []string) error {
 	return of.finish(w)
 }
 
-// randSrc builds a deterministic RNG for ad-hoc vectors.
-func randSrc(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed + 1)) }
+// checkAxes adds the checks of the -dataflow/-format pins (empty =
+// unpinned) to check.
+func checkAxes(check *flagcheck.Check, dataflow, format string) {
+	if dataflow != "" {
+		check.OneOf("dataflow", dataflow, config.DataflowNames()...)
+	}
+	if format != "" {
+		check.OneOf("format", format, config.FormatNames()...)
+	}
+}
+
+// axisPinner returns the projection of a configuration onto validated
+// -dataflow/-format pins (empty = leave the axis free), so every scheme of
+// a comparison runs the same kernel variant.
+func axisPinner(dataflow, format string) func(config.Config) config.Config {
+	df, fm := -1, -1
+	if dataflow != "" {
+		df, _ = config.DataflowByName(dataflow) // validated by checkAxes
+	}
+	if format != "" {
+		fm, _ = config.FormatByName(format)
+	}
+	return func(c config.Config) config.Config {
+		if df >= 0 {
+			c[config.Dataflow] = df
+		}
+		if fm >= 0 {
+			c[config.Format] = fm
+		}
+		return c
+	}
+}

@@ -42,7 +42,7 @@ func (ef *engineFlags) build(w io.Writer, of *obsFlags) (*engine.Engine, error) 
 	var check flagcheck.Check
 	check.NonNegative("workers", *ef.workers)
 	if err := check.Err(); err != nil {
-		return nil, err
+		return nil, flagError{err}
 	}
 	cache, err := engine.NewCache(engineMemEntries, *ef.cacheDir)
 	if err != nil {

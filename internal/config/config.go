@@ -101,9 +101,10 @@ const (
 	SchedLL = 1 // least-loaded: assign to the GPE with the lowest cost so far
 )
 
-// dataflowNames, formatNames and schedNames index the algorithm axes for
-// display and CLI parsing.
+// l1Names, dataflowNames, formatNames and schedNames index the L1 type
+// and the algorithm axes for display and CLI parsing.
 var (
+	l1Names       = []string{"cache", "spm"}
 	dataflowNames = []string{"outer", "inner", "row"}
 	formatNames   = []string{"csr", "csc", "coo"}
 	schedNames    = []string{"rr", "ll"}
@@ -126,6 +127,9 @@ func valueByName(axis string, names []string, v string) (int, error) {
 	}
 	return 0, fmt.Errorf("config: unknown %s %q (%s)", axis, v, strings.Join(names, "|"))
 }
+
+// L1TypeByName maps an L1 type name ("cache", "spm") to its value index.
+func L1TypeByName(v string) (int, error) { return valueByName("L1 type", l1Names, v) }
 
 // DataflowByName maps a dataflow name ("outer", "inner", "row") to its
 // value index, for CLI flag parsing.
@@ -353,3 +357,17 @@ var (
 	// MaxCfgSPM is MaxCfg with the L1 banks as scratchpad.
 	MaxCfgSPM = Config{SPMMode, Shared, Shared, 4, 4, 5, 2, DFOuter, FmtCSC, SchedRR}
 )
+
+// standardNames names the Table 4 configurations a run can start in or
+// hold, in the daemon's and CLI's vocabulary.
+var standardNames = []string{"baseline", "best-avg", "max"}
+
+// StandardByName maps a Table 4 configuration name ("baseline",
+// "best-avg", "max") to the cache-mode configuration it names.
+func StandardByName(v string) (Config, error) {
+	i, err := valueByName("configuration", standardNames, v)
+	if err != nil {
+		return Config{}, err
+	}
+	return [...]Config{Baseline, BestAvgCache, MaxCfg}[i], nil
+}

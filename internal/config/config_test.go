@@ -333,3 +333,22 @@ func TestQuickClassifyChangedSet(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestNamedValueParsers(t *testing.T) {
+	for name, want := range map[string]int{"cache": CacheMode, "spm": SPMMode} {
+		if got, err := L1TypeByName(name); err != nil || got != want {
+			t.Errorf("L1TypeByName(%q) = %d, %v; want %d", name, got, err, want)
+		}
+	}
+	for name, want := range map[string]Config{"baseline": Baseline, "best-avg": BestAvgCache, "max": MaxCfg} {
+		if got, err := StandardByName(name); err != nil || got != want {
+			t.Errorf("StandardByName(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := L1TypeByName("dram"); err == nil {
+		t.Error("unknown L1 type accepted")
+	}
+	if _, err := StandardByName("best-avg-spm"); err == nil {
+		t.Error("unknown configuration name accepted")
+	}
+}

@@ -57,6 +57,27 @@ func DefaultOptions() Options {
 	return Options{Policy: Hybrid, Tolerance: 0.4, EpochScale: 1}
 }
 
+// KernelOptions returns the paper's default options for a kernel (Section
+// 5.4): conservative for SpMSpM, hybrid with 40% tolerance for SpMSpV and
+// the graph kernels built on it.
+func KernelOptions(kernel string, epochScale float64) Options {
+	if kernel == "spmspm" {
+		return Options{Policy: Conservative, EpochScale: epochScale}
+	}
+	return Options{Policy: Hybrid, Tolerance: 0.4, EpochScale: epochScale}
+}
+
+// PolicyByName parses a policy name (conservative|aggressive|hybrid), the
+// inverse of Policy.String.
+func PolicyByName(name string) (Policy, error) {
+	for _, p := range []Policy{Conservative, Aggressive, Hybrid} {
+		if name == p.String() {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (conservative|aggressive|hybrid)", name)
+}
+
 // EpochLog records one epoch of a run for analysis and plotting (the
 // Figure 1 timeline is built from these).
 type EpochLog struct {

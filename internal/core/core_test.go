@@ -313,3 +313,22 @@ func TestHistoryControllerH1MatchesPublished(t *testing.T) {
 		t.Fatalf("H=1 history controller differs from published: %+v vs %+v", a.Total, b.Total)
 	}
 }
+
+func TestPolicyByNameAndKernelOptions(t *testing.T) {
+	for _, p := range []Policy{Conservative, Aggressive, Hybrid} {
+		if got, err := PolicyByName(p.String()); err != nil || got != p {
+			t.Errorf("PolicyByName(%q) = %v, %v", p, got, err)
+		}
+	}
+	if _, err := PolicyByName("policy(7)"); err == nil {
+		t.Error("unknown policy accepted")
+	}
+	if o := KernelOptions("spmspm", 0.5); o != (Options{Policy: Conservative, EpochScale: 0.5}) {
+		t.Errorf("spmspm options %+v", o)
+	}
+	for _, k := range []string{"spmspv", "bfs"} {
+		if o := KernelOptions(k, 0.5); o != (Options{Policy: Hybrid, Tolerance: 0.4, EpochScale: 0.5}) {
+			t.Errorf("%s options %+v", k, o)
+		}
+	}
+}

@@ -43,7 +43,7 @@ func (r *Report) WriteCSV(path string) error {
 	return w.Error()
 }
 
-// RunAllContext executes every registered experiment at the given scale
+// RunAll executes every registered experiment at the given scale
 // and writes one CSV per experiment into dir (created if needed), mirroring
 // the paper artifact's rep_data/ output. When sc.Eng is set, experiments
 // run concurrently (each experiment is one engine task, and its internal
@@ -52,7 +52,7 @@ func (r *Report) WriteCSV(path string) error {
 // cancels the run, and so does cancelling the context (e.g. on SIGINT),
 // which returns the reports completed so far together with the context's
 // error.
-func RunAllContext(ctx context.Context, sc Scale, dir string) ([]*Report, error) {
+func RunAll(ctx context.Context, sc Scale, dir string) ([]*Report, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err

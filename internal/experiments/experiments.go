@@ -75,6 +75,19 @@ func PaperScale() Scale {
 	return s
 }
 
+// ScaleByName returns the named built-in scale (test|small|paper).
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "test":
+		return TestScale(), nil
+	case "small":
+		return SmallScale(), nil
+	case "paper":
+		return PaperScale(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (test|small|paper)", name)
+}
+
 // Report is a printable experiment result.
 type Report struct {
 	ID      string
@@ -273,15 +286,6 @@ func buildSpMSpV(sc Scale, id string) (kernels.Workload, error) {
 	return w, nil
 }
 
-// policyFor returns the paper's default policy per kernel (Section 5.4):
-// conservative for SpMSpM, hybrid with 40% tolerance for SpMSpV.
-func policyFor(kernel string, epochScale float64) core.Options {
-	if kernel == "spmspm" {
-		return core.Options{Policy: core.Conservative, EpochScale: epochScale}
-	}
-	return core.Options{Policy: core.Hybrid, Tolerance: 0.4, EpochScale: epochScale}
-}
-
 // runSparseAdapt executes a workload under the trained controller and
 // returns the run result.
 func runSparseAdapt(sc Scale, w kernels.Workload, kernel string, l1Type int, mode power.Mode) (core.RunResult, error) {
@@ -291,7 +295,7 @@ func runSparseAdapt(sc Scale, w kernels.Workload, kernel string, l1Type int, mod
 	}
 	start := startConfig(l1Type)
 	m := sim.New(sc.Chip, sc.BW, start)
-	ctl := core.NewController(ens, policyFor(kernel, sc.Epoch))
+	ctl := core.NewController(ens, core.KernelOptions(kernel, sc.Epoch))
 	return ctl.Run(m, w), nil
 }
 

@@ -71,7 +71,8 @@ func RecordEngineMemo(ctx context.Context, eng *engine.Engine, memo *sim.RunMemo
 	tasks := make([]engine.Task[[]EpochRecord], len(cfgs))
 	for s, cfg := range cfgs {
 		cfg := cfg
-		key := engine.NewHasher("sparseadapt/oracle-row/v1").
+		// v2: the widened action space changed what cfg.Index() names.
+		key := engine.NewHasher("sparseadapt/oracle-row/v2").
 			U64(fp).Int(w.EpochFPOps).F64(epochScale).
 			Int(chip.Tiles, chip.GPEsPerTile).F64(bw).
 			Int(cfg.Index()).Sum()

@@ -6,6 +6,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 
 	"sparseadapt/internal/config"
@@ -169,6 +170,26 @@ func (m Mode) String() string {
 		return "energy-efficient"
 	}
 	return "power-performance"
+}
+
+// Name returns the mode's short name ("ee" or "pp"), the spelling job
+// requests and flags use.
+func (m Mode) Name() string {
+	if m == EnergyEfficient {
+		return "ee"
+	}
+	return "pp"
+}
+
+// ModeByName parses an optimization mode from its short name (ee|pp) or
+// its String (energy-efficient|power-performance).
+func ModeByName(name string) (Mode, error) {
+	for _, m := range []Mode{EnergyEfficient, PowerPerformance} {
+		if name == m.Name() || name == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (ee|pp)", name)
 }
 
 // Metrics is the (time, energy, work) triple every comparison in the paper

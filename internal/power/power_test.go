@@ -204,3 +204,19 @@ func TestBreakdownLeakageDominatesIdleMaxCfg(t *testing.T) {
 		t.Fatalf("idle Max Cfg should be leakage-dominated: %v", b)
 	}
 }
+
+func TestModeByName(t *testing.T) {
+	for _, m := range []Mode{EnergyEfficient, PowerPerformance} {
+		for _, name := range []string{m.Name(), m.String()} {
+			if got, err := ModeByName(name); err != nil || got != m {
+				t.Errorf("ModeByName(%q) = %v, %v; want %v", name, got, err, m)
+			}
+		}
+	}
+	if EnergyEfficient.Name() != "ee" || PowerPerformance.Name() != "pp" {
+		t.Fatal("short mode names changed")
+	}
+	if _, err := ModeByName("EE"); err == nil {
+		t.Error("unknown mode accepted")
+	}
+}

@@ -7,10 +7,14 @@ import (
 	"strings"
 	"time"
 
+	"sparseadapt/internal/config"
+	"sparseadapt/internal/core"
 	"sparseadapt/internal/engine"
+	"sparseadapt/internal/experiments"
 	"sparseadapt/internal/host"
 	"sparseadapt/internal/matrix"
 	"sparseadapt/internal/obs"
+	"sparseadapt/internal/power"
 )
 
 // The run modes a job can request, mapping one-to-one onto the host
@@ -104,10 +108,8 @@ func (r *JobRequest) Validate() error {
 	if r.Kernel == "" {
 		r.Kernel = "spmspv"
 	}
-	switch r.Kernel {
-	case "spmspm", "spmspv", "bfs", "sssp":
-	default:
-		return fmt.Errorf("unknown kernel %q (spmspm|spmspv|bfs|sssp)", r.Kernel)
+	if _, err := experiments.ModelKernel(r.Kernel); err != nil {
+		return err
 	}
 	if r.Matrix != "" && r.MatrixMarket != "" {
 		return fmt.Errorf("matrix and matrix_market are mutually exclusive")
@@ -126,23 +128,21 @@ func (r *JobRequest) Validate() error {
 	if r.Scale == "" {
 		r.Scale = "test"
 	}
-	switch r.Scale {
-	case "test", "small", "paper":
-	default:
-		return fmt.Errorf("unknown scale %q (test|small|paper)", r.Scale)
+	if _, err := experiments.ScaleByName(r.Scale); err != nil {
+		return err
 	}
 	if r.OptMode == "" {
 		r.OptMode = "ee"
 	}
-	switch r.OptMode {
-	case "ee", "pp":
-	default:
+	// Only the short mode names are accepted on the wire, so that one job
+	// has one spelling and therefore one fingerprint.
+	if m, err := power.ModeByName(r.OptMode); err != nil || m.Name() != r.OptMode {
 		return fmt.Errorf("unknown opt_mode %q (ee|pp)", r.OptMode)
 	}
-	switch r.Policy {
-	case "", "conservative", "aggressive", "hybrid":
-	default:
-		return fmt.Errorf("unknown policy %q (conservative|aggressive|hybrid)", r.Policy)
+	if r.Policy != "" {
+		if _, err := core.PolicyByName(r.Policy); err != nil {
+			return err
+		}
 	}
 	if r.Tolerance < 0 || r.Tolerance > 10 {
 		return fmt.Errorf("tolerance %g out of range [0, 10]", r.Tolerance)
@@ -150,10 +150,8 @@ func (r *JobRequest) Validate() error {
 	if r.Config == "" {
 		r.Config = "baseline"
 	}
-	switch r.Config {
-	case "baseline", "best-avg", "max":
-	default:
-		return fmt.Errorf("unknown config %q (baseline|best-avg|max)", r.Config)
+	if _, err := config.StandardByName(r.Config); err != nil {
+		return err
 	}
 	if r.Faults != "" && r.Mode != ModeResilient {
 		return fmt.Errorf("faults requires mode resilient")

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"sparseadapt/internal/config"
@@ -11,9 +10,7 @@ import (
 	"sparseadapt/internal/engine"
 	"sparseadapt/internal/experiments"
 	"sparseadapt/internal/fault"
-	"sparseadapt/internal/graph"
 	"sparseadapt/internal/host"
-	"sparseadapt/internal/kernels"
 	"sparseadapt/internal/matrix"
 	"sparseadapt/internal/obs"
 	"sparseadapt/internal/power"
@@ -141,7 +138,7 @@ func (s *Server) chaosEpochEmitter(j *sched.Job, attempt int) func(obs.EpochReco
 func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (JobResult, error) {
 	req := j.Request()
 	emit := s.chaosEpochEmitter(j, attempt)
-	sc, err := scaleFor(req.Scale)
+	sc, err := experiments.ScaleByName(req.Scale)
 	if err != nil {
 		return JobResult{}, err
 	}
@@ -156,11 +153,21 @@ func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (JobResu
 	sc.Eng = s.eng
 	sc.Memo = sim.SharedRunMemo()
 
-	off, modelKernel, err := buildWorkload(req, sc)
+	var am *matrix.COO
+	if req.MatrixMarket != "" {
+		if am, err = matrix.ReadMatrixMarket(strings.NewReader(req.MatrixMarket)); err != nil {
+			return JobResult{}, fmt.Errorf("parsing matrix_market: %w", err)
+		}
+	}
+	in, err := experiments.NewInput(sc, req.Kernel, req.Matrix, am)
 	if err != nil {
 		return JobResult{}, err
 	}
-	startCfg, err := configFor(req.Config)
+	off, err := in.Offload()
+	if err != nil {
+		return JobResult{}, err
+	}
+	startCfg, err := config.StandardByName(req.Config)
 	if err != nil {
 		return JobResult{}, err
 	}
@@ -189,15 +196,25 @@ func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (JobResu
 		return JobResult{Host: hres, Epochs: len(run.Epochs), Reconfigs: run.Reconfig, Trace: tr.Epochs()}, nil
 	}
 
-	mode, err := modeFor(req.OptMode)
+	mode, err := power.ModeByName(req.OptMode)
 	if err != nil {
 		return JobResult{}, err
 	}
-	model, err := experiments.Model(sc, modelKernel, config.CacheMode, mode)
+	model, err := experiments.Model(sc, in.ModelKernel, config.CacheMode, mode)
 	if err != nil {
 		return JobResult{}, fmt.Errorf("training model: %w", err)
 	}
-	opts := controlOptions(req, modelKernel, sc)
+	// The kernel's default options (Section 5.4), with the request's
+	// overrides on top; the tolerance only tunes a hybrid default.
+	opts := core.KernelOptions(in.ModelKernel, sc.Epoch)
+	if req.Tolerance != 0 && opts.Policy == core.Hybrid {
+		opts.Tolerance = req.Tolerance
+	}
+	if req.Policy != "" {
+		if opts.Policy, err = core.PolicyByName(req.Policy); err != nil {
+			return JobResult{}, err
+		}
+	}
 
 	switch req.Mode {
 	case ModeAdaptive:
@@ -248,119 +265,4 @@ func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (JobResu
 		return res, nil
 	}
 	return JobResult{}, fmt.Errorf("unhandled mode %q", req.Mode)
-}
-
-// buildWorkload generates or parses the input matrix and schedules the
-// requested kernel on it, mirroring the CLI `run` path exactly so a job
-// submitted over HTTP computes the same workload as the equivalent local
-// run. It returns the offload, plus the kernel name used for model lookup
-// (graph kernels reuse the SpMSpV model, Section 5.2).
-func buildWorkload(req JobRequest, sc experiments.Scale) (host.Offload, string, error) {
-	var am *matrix.COO
-	var err error
-	if req.MatrixMarket != "" {
-		am, err = matrix.ReadMatrixMarket(strings.NewReader(req.MatrixMarket))
-		if err != nil {
-			return host.Offload{}, "", fmt.Errorf("parsing matrix_market: %w", err)
-		}
-	} else {
-		entry, eerr := matrix.Entry(req.Matrix)
-		if eerr != nil {
-			return host.Offload{}, "", eerr
-		}
-		am = entry.Generate(sc.Matrix, sc.Seed)
-	}
-	a := am.ToCSC()
-	dim := a.Cols
-	modelKernel := req.Kernel
-	var wl kernels.Workload
-	bytesIn := host.InputBytes(a.NNZ(), dim)
-	bytesOut := 0
-	switch req.Kernel {
-	case "spmspm":
-		var out *matrix.CSR
-		out, wl, err = kernels.SpMSpM(a, am.ToCSR().Transpose(), sc.Chip.NGPE(), sc.Chip.Tiles)
-		bytesIn *= 2 // both operands stream in
-		if out != nil {
-			bytesOut = host.InputBytes(out.NNZ(), dim)
-		}
-	case "spmspv":
-		x := matrix.RandomVec(rand.New(rand.NewSource(sc.Seed+1)), dim, 0.5)
-		var y *matrix.SparseVec
-		y, wl, err = kernels.SpMSpV(a, x, sc.Chip.NGPE(), sc.Chip.Tiles)
-		bytesIn += host.InputBytes(x.NNZ(), dim)
-		if y != nil {
-			bytesOut = y.NNZ() * 12
-		}
-	case "bfs":
-		_, wl, err = graph.BFS(a, 0, sc.Chip.NGPE(), sc.Chip.Tiles)
-		bytesOut = dim * 8
-		modelKernel = "spmspv"
-	case "sssp":
-		_, wl, err = graph.SSSP(a, 0, sc.Chip.NGPE(), sc.Chip.Tiles)
-		bytesOut = dim * 8
-		modelKernel = "spmspv"
-	default:
-		return host.Offload{}, "", fmt.Errorf("unknown kernel %q", req.Kernel)
-	}
-	if err != nil {
-		return host.Offload{}, "", err
-	}
-	return host.Offload{Workload: wl, BytesIn: bytesIn, BytesOut: bytesOut}, modelKernel, nil
-}
-
-// controlOptions mirrors the CLI's policy selection: hybrid with the
-// paper's 40% tolerance for SpMSpV-class workloads, conservative for
-// SpMSpM (Section 5.4), with explicit request overrides on top.
-func controlOptions(req JobRequest, modelKernel string, sc experiments.Scale) core.Options {
-	opts := core.Options{Policy: core.Hybrid, Tolerance: 0.4, EpochScale: sc.Epoch}
-	if req.Tolerance != 0 {
-		opts.Tolerance = req.Tolerance
-	}
-	if modelKernel == "spmspm" {
-		opts = core.Options{Policy: core.Conservative, EpochScale: sc.Epoch}
-	}
-	switch req.Policy {
-	case "conservative":
-		opts.Policy = core.Conservative
-	case "aggressive":
-		opts.Policy = core.Aggressive
-	case "hybrid":
-		opts.Policy = core.Hybrid
-	}
-	return opts
-}
-
-func scaleFor(name string) (experiments.Scale, error) {
-	switch name {
-	case "test":
-		return experiments.TestScale(), nil
-	case "small":
-		return experiments.SmallScale(), nil
-	case "paper":
-		return experiments.PaperScale(), nil
-	}
-	return experiments.Scale{}, fmt.Errorf("unknown scale %q", name)
-}
-
-func modeFor(name string) (power.Mode, error) {
-	switch name {
-	case "ee":
-		return power.EnergyEfficient, nil
-	case "pp":
-		return power.PowerPerformance, nil
-	}
-	return 0, fmt.Errorf("unknown opt_mode %q", name)
-}
-
-func configFor(name string) (config.Config, error) {
-	switch name {
-	case "baseline":
-		return config.Baseline, nil
-	case "best-avg":
-		return config.BestAvgCache, nil
-	case "max":
-		return config.MaxCfg, nil
-	}
-	return config.Config{}, fmt.Errorf("unknown config %q", name)
 }

@@ -29,14 +29,17 @@ type Eval struct {
 	Window []sim.Counters
 }
 
-// Evaluator runs a workload's phases under arbitrary configurations. Each
-// evaluation uses a fresh (cold) machine, runs Warmup epochs to stabilize
-// behaviour — the paper runs "until the program behavior stabilizes" — and
-// measures the next Measure epochs.
+// Evaluator runs a kernel's phases under arbitrary configurations, each
+// configuration on the trace of its own algorithm variant (dataflow ×
+// format × scheduling). Phases and the epoch grid are anchored to the
+// source's natural variant, so a phase covers the same fraction of the
+// arithmetic work in every variant (sim.Trace.EpochsN). Each evaluation
+// uses a fresh (cold) machine, runs Warmup epochs to stabilize behaviour —
+// the paper runs "until the program behavior stabilizes" — and measures
+// the next Measure epochs.
 type Evaluator struct {
 	Chip       power.Chip
 	BW         float64
-	Workload   kernels.Workload
 	EpochScale float64
 	Warmup     int
 	Measure    int
@@ -56,16 +59,11 @@ type Evaluator struct {
 	// byte-identical results.
 	Memo *sim.RunMemo
 
-	phases     []string
-	epsByPhase map[string][]sim.EpochRange
-	cache      map[cacheKey]Eval
-
-	// Source-aware mode (NewSourceEvaluator): each configuration is
-	// measured on its own kernel variant's trace, with phases mapped by
-	// epoch index on the natural variant's work-aligned grid.
 	src       *kernels.Source
-	nEpochs   int
-	phaseIdxs map[string][]int
+	nEpochs   int              // epochs of the natural variant's grid
+	phases    []string         // phase names in execution order
+	phaseIdxs map[string][]int // grid epoch indices of each phase
+	cache     map[cacheKey]Eval
 }
 
 type cacheKey struct {
@@ -73,34 +71,7 @@ type cacheKey struct {
 	phase  string
 }
 
-// NewEvaluator prepares an evaluator for one workload.
-func NewEvaluator(chip power.Chip, bw float64, w kernels.Workload, epochScale float64, warmup, measure int) *Evaluator {
-	if warmup < 0 {
-		warmup = 0
-	}
-	if measure < 1 {
-		measure = 1
-	}
-	ev := &Evaluator{
-		Chip: chip, BW: bw, Workload: w, EpochScale: epochScale,
-		Warmup: warmup, Measure: measure,
-		epsByPhase: map[string][]sim.EpochRange{},
-		cache:      map[cacheKey]Eval{},
-	}
-	for _, ep := range w.Epochs(epochScale) {
-		if _, ok := ev.epsByPhase[ep.Phase]; !ok {
-			ev.phases = append(ev.phases, ep.Phase)
-		}
-		ev.epsByPhase[ep.Phase] = append(ev.epsByPhase[ep.Phase], ep)
-	}
-	return ev
-}
-
-// NewSourceEvaluator prepares an evaluator over the widened action space:
-// each configuration is measured on the trace of its own kernel variant
-// (dataflow × format × scheduling), with phases and the epoch grid
-// anchored to the source's natural variant so a phase covers the same
-// fraction of the arithmetic work in every variant (sim.Trace.EpochsN).
+// NewSourceEvaluator prepares an evaluator over the source's variants.
 func NewSourceEvaluator(chip power.Chip, bw float64, src *kernels.Source, epochScale float64, warmup, measure int) (*Evaluator, error) {
 	nat, err := src.Natural()
 	if err != nil {
@@ -110,13 +81,16 @@ func NewSourceEvaluator(chip power.Chip, bw float64, src *kernels.Source, epochS
 	if n == 0 {
 		return nil, fmt.Errorf("trainer: source %s has no epochs", src.Name())
 	}
-	ev := NewEvaluator(chip, bw, nat, epochScale, warmup, measure)
-	ev.src = src
-	ev.nEpochs = n
-	ev.phaseIdxs = map[string][]int{}
-	// Phase names and ordering come from the natural variant's aligned
-	// grid, replacing the budget-based grid built by NewEvaluator.
-	ev.phases = nil
+	if warmup < 0 {
+		warmup = 0
+	}
+	if measure < 1 {
+		measure = 1
+	}
+	ev := &Evaluator{
+		Chip: chip, BW: bw, EpochScale: epochScale, Warmup: warmup, Measure: measure,
+		src: src, nEpochs: n, phaseIdxs: map[string][]int{}, cache: map[cacheKey]Eval{},
+	}
 	for i, ep := range nat.Trace.EpochsN(n) {
 		if _, ok := ev.phaseIdxs[ep.Phase]; !ok {
 			ev.phases = append(ev.phases, ep.Phase)
@@ -138,33 +112,23 @@ func (ev *Evaluator) Eval(cfg config.Config, phase string) (Eval, error) {
 	if e, ok := ev.cache[key]; ok {
 		return e, nil
 	}
-	trace := ev.Workload.Trace
+	idxs, ok := ev.phaseIdxs[phase]
+	if !ok {
+		return Eval{}, fmt.Errorf("trainer: unknown phase %q", phase)
+	}
+	w, err := ev.src.Variant(cfg)
+	if err != nil {
+		return Eval{}, err
+	}
+	veps := w.Trace.EpochsN(ev.nEpochs)
 	var eps []sim.EpochRange
-	if ev.src != nil {
-		idxs, ok := ev.phaseIdxs[phase]
-		if !ok {
-			return Eval{}, fmt.Errorf("trainer: unknown phase %q", phase)
+	for _, i := range idxs {
+		if i < len(veps) {
+			eps = append(eps, veps[i])
 		}
-		w, err := ev.src.Variant(cfg)
-		if err != nil {
-			return Eval{}, err
-		}
-		trace = w.Trace
-		veps := trace.EpochsN(ev.nEpochs)
-		for _, i := range idxs {
-			if i < len(veps) {
-				eps = append(eps, veps[i])
-			}
-		}
-		if len(eps) == 0 {
-			return Eval{}, fmt.Errorf("trainer: variant %s has no epochs for phase %q", w.Name, phase)
-		}
-	} else {
-		var ok bool
-		eps, ok = ev.epsByPhase[phase]
-		if !ok {
-			return Eval{}, fmt.Errorf("trainer: unknown phase %q", phase)
-		}
+	}
+	if len(eps) == 0 {
+		return Eval{}, fmt.Errorf("trainer: variant %s has no epochs for phase %q", w.Name, phase)
 	}
 	warm := ev.Warmup
 	if warm >= len(eps) {
@@ -174,7 +138,7 @@ func (ev *Evaluator) Eval(cfg config.Config, phase string) (Eval, error) {
 	if limit > len(eps) {
 		limit = len(eps)
 	}
-	rs, err := sim.RunEpochs(context.Background(), ev.Memo, ev.Chip, ev.BW, cfg, trace, eps[:limit])
+	rs, err := sim.RunEpochs(context.Background(), ev.Memo, ev.Chip, ev.BW, cfg, w.Trace, eps[:limit])
 	if err != nil {
 		return Eval{}, err
 	}

@@ -31,9 +31,31 @@ func smallWorkload(t *testing.T, kernel string, seed int64) kernels.Workload {
 	}
 }
 
+// smallSource wraps the same operands as smallWorkload in a kernel source,
+// the evaluator's input.
+func smallSource(t *testing.T, kernel string, seed int64) *kernels.Source {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	am := matrix.Uniform(rng, 96, 96, 900)
+	a := am.ToCSC()
+	if kernel == "spmspm" {
+		return kernels.NewSpMSpMSource(kernel, a, am.ToCSR(), chip.NGPE(), chip.Tiles)
+	}
+	x := matrix.RandomVec(rng, 96, 0.5)
+	return kernels.NewSpMSpVSource(kernel, a, x, chip.NGPE(), chip.Tiles)
+}
+
+func newEvaluator(t *testing.T, src *kernels.Source, epochScale float64) *Evaluator {
+	t.Helper()
+	ev, err := NewSourceEvaluator(chip, sim.DefaultBandwidth, src, epochScale, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
 func TestEvaluatorPhases(t *testing.T) {
-	w := smallWorkload(t, "spmspm", 1)
-	ev := NewEvaluator(chip, sim.DefaultBandwidth, w, 0.05, 1, 2)
+	ev := newEvaluator(t, smallSource(t, "spmspm", 1), 0.05)
 	ph := ev.Phases()
 	if len(ph) != 2 || ph[0] != "multiply" || ph[1] != "merge" {
 		t.Fatalf("phases %v", ph)
@@ -41,8 +63,8 @@ func TestEvaluatorPhases(t *testing.T) {
 }
 
 func TestEvaluatorDeterministicAndCached(t *testing.T) {
-	w := smallWorkload(t, "spmspv", 2)
-	ev := NewEvaluator(chip, sim.DefaultBandwidth, w, 0.1, 1, 2)
+	src := smallSource(t, "spmspv", 2)
+	ev := newEvaluator(t, src, 0.1)
 	phase := ev.Phases()[0]
 	a, err := ev.Eval(config.Baseline, phase)
 	if err != nil {
@@ -55,7 +77,12 @@ func TestEvaluatorDeterministicAndCached(t *testing.T) {
 	if a.Metrics != b.Metrics {
 		t.Fatal("cached evaluation differs")
 	}
-	ev2 := NewEvaluator(chip, sim.DefaultBandwidth, w, 0.1, 1, 2)
+	if len(ev.cache) != 1 {
+		t.Fatalf("repeated evaluation not served from the per-instance cache: %d entries", len(ev.cache))
+	}
+	// A second evaluator over a fresh source from the same operands must
+	// reproduce the measurement without sharing any cached state.
+	ev2 := newEvaluator(t, smallSource(t, "spmspv", 2), 0.1)
 	c, err := ev2.Eval(config.Baseline, phase)
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +96,7 @@ func TestEvaluatorDeterministicAndCached(t *testing.T) {
 }
 
 func TestBestConfigImprovesOnAverage(t *testing.T) {
-	w := smallWorkload(t, "spmspv", 3)
-	ev := NewEvaluator(chip, sim.DefaultBandwidth, w, 0.1, 1, 2)
+	ev := newEvaluator(t, smallSource(t, "spmspv", 3), 0.1)
 	phase := ev.Phases()[0]
 	rng := rand.New(rand.NewSource(7))
 	best, evals, err := ev.BestConfig(rng, 8, config.CacheMode, phase, power.EnergyEfficient)
