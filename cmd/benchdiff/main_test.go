@@ -81,6 +81,8 @@ func TestGroupNames(t *testing.T) {
 		"BenchmarkEngineOracleRecord/workers=8": "engine",
 		"BenchmarkEngineCacheWarm":              "engine",
 		"BenchmarkSimRunEpoch":                  "sim",
+		"BenchmarkTraceBuild":                   "kernels",
+		"BenchmarkTraceFingerprint/cold":        "sim",
 		"BenchmarkCounterAdd":                   "obs",
 		"BenchmarkGoldenDigest":                 "obs",
 		"BenchmarkFigure8":                      "figure",

@@ -303,7 +303,7 @@ func cmdRun(ctx context.Context, w io.Writer, args []string) error {
 	scaleName := fs.String("scale", "small", "experiment scale: test|small|paper")
 	modelPath := fs.String("model", "", "model JSON (trained on the fly when empty)")
 	policy := fs.String("policy", "", "override policy: conservative|aggressive|hybrid")
-	tolerance := fs.Float64("tolerance", 0.4, "hybrid tolerance")
+	tolerance := fs.Float64("tolerance", 0.4, "hybrid tolerance (0 keeps the kernel default)")
 	faultSpec := fs.String("faults", "", "fault-injection spec, e.g. nan=0.1,stuck=0.05,rc-drop=0.2,seed=7 (runs the resilient controller)")
 	ckPath := fs.String("checkpoint", "", "controller checkpoint file (written during the run; implies the resilient controller)")
 	resumeCk := fs.Bool("resume", false, "resume an interrupted run from -checkpoint")
@@ -333,16 +333,9 @@ func cmdRun(ctx context.Context, w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	// The kernel's default options (Section 5.4), with the flags'
-	// overrides on top; -tolerance only tunes a hybrid default.
-	opts := core.KernelOptions(in.ModelKernel, sc.Epoch)
-	if opts.Policy == core.Hybrid {
-		opts.Tolerance = *tolerance
-	}
-	if *policy != "" {
-		if opts.Policy, err = core.PolicyByName(*policy); err != nil {
-			return err
-		}
+	opts, err := core.OptionsFor(in.ModelKernel, sc.Epoch, *policy, *tolerance)
+	if err != nil {
+		return err
 	}
 	if err := of.start("sparseadapt run", fs, args, w); err != nil {
 		return err

@@ -52,7 +52,8 @@ func TestOracleBadFlags(t *testing.T) {
 // TestTrainDatasetUnchanged pins the dataset train writes under -seed,
 // -dataflow and -format: the digests are those of the files the
 // standalone dataset generator this subcommand replaced wrote for the
-// same sweep.
+// same sweep, except the -dataflow inner row, whose best-dataflow labels
+// now name the pinned value (inner) rather than outer.
 func TestTrainDatasetUnchanged(t *testing.T) {
 	for _, tc := range []struct {
 		args      []string
@@ -65,8 +66,8 @@ func TestTrainDatasetUnchanged(t *testing.T) {
 			"0d0182ae04698ed19149991c77321876b4d677e95ded4216986bb9e6b76f2649",
 			"a4ad8c5155335eca7d248ab950ece3f6e6485451cdae85c293dd881d4ce4309b"},
 		{[]string{"-kernel", "spmspm", "-scale", "0.1", "-seed", "2", "-dataflow", "inner"},
-			"27d2ed9b6fec1258cd81369bde099673de883e3dedb517e68cc8834c71f3913d",
-			"c4acc2fa2e87936ced558119b16856caa2696ef0b0939b034ee114566aa8cb4c"},
+			"63b40fa6565241e8a83a4a9a44d2f1af08738f9ce3651ddc34f73d4f210230f4",
+			"40668700a515074a74f64a69d55d4b936c141350fd9a308ed74d57306ce82016"},
 	} {
 		dir := t.TempDir()
 		csvPath, jsonPath := filepath.Join(dir, "d.csv"), filepath.Join(dir, "d.json")

@@ -1,5 +1,7 @@
 package config
 
+import "fmt"
+
 // CostClass is the reconfiguration-cost taxonomy of Section 3.4, extended
 // with an Algorithmic class for the runtime dataflow/format axes.
 type CostClass int
@@ -126,8 +128,31 @@ type Transition struct {
 	// Coarse indicates a compile-time-only parameter changed; runtime
 	// transitions with Coarse set are invalid.
 	Coarse bool
-	// Changed lists the parameters that differ.
-	Changed []Param
+	// Changed is the set of parameters that differ.
+	Changed ParamSet
+}
+
+// ParamSet is a set of parameters, one bit per Param. It is a value, so
+// Classify builds a Transition without allocating.
+type ParamSet uint16
+
+// Every parameter has a bit in a ParamSet: the conversion does not compile
+// once NumParams exceeds 16.
+const _ = uint(16 - NumParams)
+
+// Has reports whether p is in the set.
+func (s ParamSet) Has(p Param) bool { return s&(1<<p) != 0 }
+
+// String lists the set's parameters in order, as their []Param prints:
+// "[l1-type clock]".
+func (s ParamSet) String() string {
+	var ps []Param
+	for p := Param(0); p < NumParams; p++ {
+		if s.Has(p) {
+			ps = append(ps, p)
+		}
+	}
+	return fmt.Sprint(ps)
 }
 
 // Classify computes the Transition between two configurations.
@@ -138,7 +163,7 @@ func Classify(from, to Config) Transition {
 		if cls == NoChange {
 			continue
 		}
-		t.Changed = append(t.Changed, p)
+		t.Changed |= 1 << p
 		switch cls {
 		case SuperFine:
 			t.SuperFineChanges++
@@ -188,4 +213,4 @@ func (t Transition) ConversionCycles(nnz int) float64 {
 }
 
 // IsNoop reports whether the transition changes nothing.
-func (t Transition) IsNoop() bool { return len(t.Changed) == 0 }
+func (t Transition) IsNoop() bool { return t.Changed == 0 }

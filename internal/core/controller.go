@@ -67,6 +67,25 @@ func KernelOptions(kernel string, epochScale float64) Options {
 	return Options{Policy: Hybrid, Tolerance: 0.4, EpochScale: epochScale}
 }
 
+// OptionsFor returns the options of one run of kernel: KernelOptions with
+// the named policy, when not empty, in place of the default, and then a
+// non-zero tolerance when the effective policy is hybrid. A tolerance of 0
+// keeps the default's (0.4, or 0 for SpMSpM switched to hybrid).
+func OptionsFor(kernel string, epochScale float64, policy string, tolerance float64) (Options, error) {
+	opts := KernelOptions(kernel, epochScale)
+	if policy != "" {
+		p, err := PolicyByName(policy)
+		if err != nil {
+			return Options{}, err
+		}
+		opts.Policy = p
+	}
+	if tolerance != 0 && opts.Policy == Hybrid {
+		opts.Tolerance = tolerance
+	}
+	return opts, nil
+}
+
 // PolicyByName parses a policy name (conservative|aggressive|hybrid), the
 // inverse of Policy.String.
 func PolicyByName(name string) (Policy, error) {

@@ -332,3 +332,34 @@ func TestPolicyByNameAndKernelOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestOptionsFor checks the policy override is applied before the
+// tolerance, so a hybrid override of SpMSpM's conservative default keeps
+// the requested tolerance, and that with no overrides every kernel runs
+// on its default options.
+func TestOptionsFor(t *testing.T) {
+	for _, k := range []string{"spmspm", "spmspv", "bfs", "sssp"} {
+		if o, err := OptionsFor(k, 0.5, "", 0); err != nil || o != KernelOptions(k, 0.5) {
+			t.Errorf("%s default options %+v, %v; want %+v", k, o, err, KernelOptions(k, 0.5))
+		}
+	}
+	cases := []struct {
+		kernel, policy string
+		tol            float64
+		want           Options
+	}{
+		{"spmspm", "hybrid", 0.9, Options{Policy: Hybrid, Tolerance: 0.9, EpochScale: 0.5}},
+		{"spmspm", "hybrid", 0, Options{Policy: Hybrid, EpochScale: 0.5}},
+		{"spmspm", "", 0.9, Options{Policy: Conservative, EpochScale: 0.5}},
+		{"spmspv", "", 0.9, Options{Policy: Hybrid, Tolerance: 0.9, EpochScale: 0.5}},
+		{"spmspv", "aggressive", 0.9, Options{Policy: Aggressive, Tolerance: 0.4, EpochScale: 0.5}},
+	}
+	for _, c := range cases {
+		if o, err := OptionsFor(c.kernel, 0.5, c.policy, c.tol); err != nil || o != c.want {
+			t.Errorf("OptionsFor(%s, %q, %g) = %+v, %v; want %+v", c.kernel, c.policy, c.tol, o, err, c.want)
+		}
+	}
+	if _, err := OptionsFor("spmspv", 0.5, "greedy", 0); err == nil {
+		t.Error("unknown policy accepted")
+	}
+}

@@ -204,16 +204,9 @@ func (s *Server) runJob(ctx context.Context, j *sched.Job, attempt int) (JobResu
 	if err != nil {
 		return JobResult{}, fmt.Errorf("training model: %w", err)
 	}
-	// The kernel's default options (Section 5.4), with the request's
-	// overrides on top; the tolerance only tunes a hybrid default.
-	opts := core.KernelOptions(in.ModelKernel, sc.Epoch)
-	if req.Tolerance != 0 && opts.Policy == core.Hybrid {
-		opts.Tolerance = req.Tolerance
-	}
-	if req.Policy != "" {
-		if opts.Policy, err = core.PolicyByName(req.Policy); err != nil {
-			return JobResult{}, err
-		}
+	opts, err := core.OptionsFor(in.ModelKernel, sc.Epoch, req.Policy, req.Tolerance)
+	if err != nil {
+		return JobResult{}, err
 	}
 
 	switch req.Mode {

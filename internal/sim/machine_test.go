@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -387,8 +388,19 @@ func TestReconfigureCoarseRejected(t *testing.T) {
 	m := New(testChip, DefaultBandwidth, config.Baseline)
 	m.BindTrace(streamTrace(10))
 	to := config.BestAvgSPM // changes L1 type
-	if _, err := m.Reconfigure(to); err == nil {
-		t.Fatal("coarse change must be rejected at runtime")
+	// The error lists the changed parameters as a []Param prints.
+	var changed []config.Param
+	for p := config.Param(0); p < config.NumParams; p++ {
+		if to[p] != config.Baseline[p] {
+			changed = append(changed, p)
+		}
+	}
+	want := fmt.Sprintf("sim: coarse parameter change %v requires recompilation", changed)
+	if _, err := m.Reconfigure(to); err == nil || err.Error() != want {
+		t.Fatalf("Reconfigure error %v, want %q", err, want)
+	}
+	if _, err := m.ContextSwitch(to); err == nil || err.Error() != want {
+		t.Fatalf("ContextSwitch error %v, want %q", err, want)
 	}
 }
 

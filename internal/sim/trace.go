@@ -46,7 +46,7 @@ func (k EventKind) IsStore() bool { return k == KStoreF || k == KStoreI }
 // the paper's epoch definition (FP ALU ops plus FP loads and stores).
 func (k EventKind) IsFP() bool { return k == KLoadF || k == KStoreF || k == KFP }
 
-// Event is one traced instruction: 12 bytes, kept small because traces for
+// Event is one traced instruction: 8 bytes, kept small because traces for
 // the larger inputs run to tens of millions of events.
 type Event struct {
 	Addr uint32 // byte address (memory events only)
@@ -293,11 +293,26 @@ func (t *Trace) EpochsN(n int) []EpochRange {
 // with On and then emit events; work units handed to different GPEs in
 // round-robin order produce the fine-grained interleaving the replay
 // machine expects.
+//
+// Events are appended into fixed-size chunks drawn from chunkPool rather
+// than one growing slice: a multi-million-event SpMSpM trace would
+// otherwise be copied about four times by slice growth, and each large
+// copy stalls the garbage collector. Build copies the chunks once into an
+// exactly sized Events slice and returns them to the pool, so a built
+// trace never aliases pooled memory.
 type Builder struct {
-	t    Trace
-	core uint8
-	next uint32 // region allocation cursor
+	t      Trace
+	chunks []*[chunkEvents]Event // every chunk in use
+	cur    *[chunkEvents]Event   // the last chunk, being filled
+	n      int                   // events emitted
+	core   uint8
+	next   uint32 // region allocation cursor
 }
+
+// chunkEvents is the capacity of one builder chunk (512 KiB of events).
+const chunkEvents = 1 << 16
+
+var chunkPool = sync.Pool{New: func() any { return new([chunkEvents]Event) }}
 
 // NewBuilder returns a Builder for a machine with nGPE worker cores and
 // nLCP control cores.
@@ -327,11 +342,17 @@ func (b *Builder) On(core int) { b.core = uint8(core) }
 
 // Phase marks the beginning of a named explicit phase.
 func (b *Builder) Phase(name string) {
-	b.t.Phases = append(b.t.Phases, PhaseMark{Event: len(b.t.Events), Name: name})
+	b.t.Phases = append(b.t.Phases, PhaseMark{Event: b.n, Name: name})
 }
 
 func (b *Builder) emit(kind EventKind, pc uint16, addr uint32) {
-	b.t.Events = append(b.t.Events, Event{Addr: addr, PC: pc, Core: b.core, Kind: kind})
+	i := uint(b.n) % chunkEvents
+	if i == 0 {
+		b.cur = chunkPool.Get().(*[chunkEvents]Event)
+		b.chunks = append(b.chunks, b.cur)
+	}
+	b.cur[i] = Event{Addr: addr, PC: pc, Core: b.core, Kind: kind}
+	b.n++
 	if kind.IsFP() {
 		b.t.FPOps++
 	}
@@ -369,6 +390,14 @@ func (b *Builder) SetNNZ(nnz int) { b.t.NNZ = nnz }
 
 // Build finalizes and returns the trace. The builder must not be reused.
 func (b *Builder) Build() *Trace {
+	if b.n > 0 {
+		b.t.Events = make([]Event, b.n)
+		for i, c := range b.chunks {
+			copy(b.t.Events[i*chunkEvents:], c[:])
+			chunkPool.Put(c)
+		}
+	}
+	b.chunks, b.cur = nil, nil
 	sort.Slice(b.t.Regions, func(i, j int) bool { return b.t.Regions[i].Lo < b.t.Regions[j].Lo })
 	return &b.t
 }

@@ -208,8 +208,10 @@ func (ev *Evaluator) BestConfig(rng *rand.Rand, k, l1Type int, phase string, mod
 			if err != nil {
 				return config.Config{}, nil, err
 			}
+			// e.Config is the evaluated configuration: under a pin, Eval
+			// projects the proposed value onto the pinned one.
 			if s := score(e); s > bestS {
-				bestV, bestS = cfg[p], s
+				bestV, bestS = e.Config[p], s
 			}
 		}
 		final[p] = bestV

@@ -234,3 +234,34 @@ func TestTrainedModelBeatsBaseline(t *testing.T) {
 	}
 	t.Logf("efficiency gain over baseline: %.2fx (reconfigs %d)", sD/sS, dyn.Reconfig)
 }
+
+// TestPinnedSweepLabels checks a pinned sweep labels every example with
+// the pinned value: the search proposes every value of the pinned axis,
+// but each is evaluated as the pin, so the label must be the pin too.
+func TestPinnedSweepLabels(t *testing.T) {
+	for _, c := range []struct {
+		kernel string
+		pin    func(*SweepSpec)
+		param  config.Param
+		want   int
+	}{
+		{"spmspv", func(sw *SweepSpec) { sw.PinFormat = "csc" }, config.Format, config.FmtCSC},
+		{"spmspm", func(sw *SweepSpec) { sw.PinDataflow = "inner" }, config.Dataflow, config.DFInner},
+	} {
+		sw := tinySweep(c.kernel)
+		c.pin(&sw)
+		ds, err := Generate(sw, power.EnergyEfficient)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds.Examples) == 0 {
+			t.Fatalf("%s: empty dataset", c.kernel)
+		}
+		for i, e := range ds.Examples {
+			if e.Y[c.param] != c.want {
+				t.Fatalf("%s: example %d labelled %v=%d, want the pin %d",
+					c.kernel, i, c.param, e.Y[c.param], c.want)
+			}
+		}
+	}
+}
